@@ -178,6 +178,11 @@ class ResultCache:
     ``memory_limit_bytes`` is set, the partitions furthest ahead of the
     probe position spill to simulated overflow files and are read back on
     first probe.
+
+    Entries are keyed by ``(page_id, slot)``.  Callers park plain tuples:
+    a probe's :class:`TID` compares and hashes equal to one, and the
+    collector untracks plain int tuples, where every parked ``TID`` would
+    stay tracked and push the old generation into full collections.
     """
 
     def __init__(self, separators: list, bytes_per_entry: int,
@@ -188,8 +193,8 @@ class ResultCache:
         self.memory_limit_bytes = memory_limit_bytes
         self.page_bytes = page_bytes
         n_parts = len(self.separators) + 1
-        self._partitions: list[dict[TID, Row]] = [{} for _ in range(n_parts)]
-        self._spilled: list[dict[TID, Row] | None] = [None] * n_parts
+        self._partitions: list[dict[tuple[int, int], Row]] = [{} for _ in range(n_parts)]
+        self._spilled: list[dict[tuple[int, int], Row] | None] = [None] * n_parts
         self._entries = 0
         #: Lowest partition the probe key has not yet passed; everything
         #: below it is known-evicted, so :meth:`advance` is O(1) per call
@@ -224,8 +229,10 @@ class ResultCache:
 
     # -- operations --------------------------------------------------------
 
-    def insert(self, key: object, tid: TID, row: Row, disk=None) -> None:
-        """Park a qualifying tuple until its index probe arrives.
+    def insert(self, key: object, tid: tuple[int, int], row: Row,
+               disk=None) -> None:
+        """Park a qualifying tuple under its ``(page_id, slot)`` pair until
+        its index probe arrives.
 
         ``key`` must not lie below a separator the probe has already
         passed (:meth:`advance` is monotone): such a tuple's probe is
@@ -252,8 +259,10 @@ class ResultCache:
                 and self.memory_bytes > self.memory_limit_bytes):
             self._spill_furthest(i, disk)
 
-    def take(self, key: object, tid: TID, disk=None) -> Row | None:
-        """Return (without deleting) the cached row for ``tid``, if any.
+    def take(self, key: object, tid: tuple[int, int],
+             disk=None) -> Row | None:
+        """Return (without deleting) the cached row for the ``(page_id,
+        slot)`` pair ``tid`` (a :class:`TID` or a plain tuple), if any.
 
         Spilled partitions are read back (charging sequential I/O on
         ``disk``) before the probe — "overflow files that are read upon

@@ -55,16 +55,13 @@ from repro.exec.expressions import (
 )
 from repro.storage.chunk import mask_and
 from repro.exec.iterator import Batch, Chunk, DEFAULT_BATCH_SIZE, Operator
-from repro.index.btree import TID_SHIFT
 from repro.storage.table import Table
-from repro.storage.types import Row, TID
+from repro.storage.types import SLOT_MASK, TID_SHIFT, Row, TID
 
 try:  # pragma: no cover - exercised implicitly when numpy is present
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
-
-_SLOT_MASK = (1 << TID_SHIFT) - 1
 
 _DEFAULT_RESULT_CACHE_PARTITIONS = 16
 
@@ -361,7 +358,8 @@ class SmoothScan(Operator):
                     yield row
                 else:
                     ctx.charge_cache_insert()
-                    result_cache.insert(key, t, row, disk=ctx.disk)
+                    result_cache.insert(key, (page.page_id, slot), row,
+                                        disk=ctx.disk)
             if page_has_result:
                 stats.pages_with_results += 1
 
@@ -421,9 +419,15 @@ class SmoothScan(Operator):
         # accumulates rows as before.
         columnar = fast_filter is not None
         pending: list = []
+        # Rows held in ``pending`` as a running count, maintained where
+        # ``_emit_run`` fills it: at low selectivity one tiny chunk part
+        # lands per page, and re-summing the parts on every flush check
+        # would go quadratic.  Only the columnar config reads it — there
+        # ``_emit_run`` is the sole writer of ``pending``.
+        pending_rows = 0
 
-        def pending_size(parts: list) -> int:
-            return sum(len(c) for c in parts) if columnar else len(parts)
+        def pending_size() -> int:
+            return pending_rows if columnar else len(pending)
 
         def as_batch(parts: list) -> Batch:
             return Chunk.concat(parts) if columnar else parts
@@ -444,7 +448,8 @@ class SmoothScan(Operator):
             enclosing execution state (pending output, region size and
             the selectivity accounting) in place.
             """
-            nonlocal pending, region, pages_res_global, pages_seen_smooth
+            nonlocal pending, pending_rows, region, pages_res_global
+            nonlocal pages_seen_smooth
             nonlocal flattened
             start = tid.page_id
             end = min(num_pages, start + region)
@@ -453,31 +458,33 @@ class SmoothScan(Operator):
             for pid in range(start, end):
                 if is_seen(pid):
                     if run_start is not None:
-                        pending = self._emit_run(
+                        pending_rows += self._emit_run(
                             ctx, heap, run_start, pid - run_start,
                             state, qualify, residual_sel,
                             fast_filter, fast_mask, tid, pending,
                         )
-                        if pending_size(pending) >= DEFAULT_BATCH_SIZE:
+                        if pending_size() >= DEFAULT_BATCH_SIZE:
                             stats.probes = probes
                             yield as_batch(pending)
                             pending = []
+                            pending_rows = 0
                         region_pages += pid - run_start
                         run_start = None
                     continue
                 if run_start is None:
                     run_start = pid
             if run_start is not None:
-                pending = self._emit_run(
+                pending_rows += self._emit_run(
                     ctx, heap, run_start, end - run_start,
                     state, qualify, residual_sel,
                     fast_filter, fast_mask, tid, pending,
                 )
                 region_pages += end - run_start
-            if pending_size(pending) >= DEFAULT_BATCH_SIZE:
+            if pending_size() >= DEFAULT_BATCH_SIZE:
                 stats.probes = probes
                 yield as_batch(pending)
                 pending = []
+                pending_rows = 0
 
             region_pages_res = stats.pages_with_results - pages_res_global
             pages_res_global = stats.pages_with_results
@@ -542,7 +549,7 @@ class SmoothScan(Operator):
                     page_checks += k - j + 1
                     code = int(codes[k])
                     yield from probe_region(
-                        TID(code >> TID_SHIFT, code & _SLOT_MASK)
+                        TID(code >> TID_SHIFT, code & SLOT_MASK)
                     )
                     j = k + 1
                 if page_checks:
@@ -643,7 +650,7 @@ class SmoothScan(Operator):
     def _emit_run(self, ctx: ExecutionContext, heap, run_start: int,
                   run_len: int, state: _RunState, qualify, residual_sel,
                   fast_filter, fast_mask, probe_tid: TID,
-                  out: list[Row]) -> list[Row]:
+                  out: list[Row]) -> int:
         """Vectorized run probe: append the run's output to ``out``.
 
         Fetches one contiguous run of unseen pages, filters each whole
@@ -655,9 +662,11 @@ class SmoothScan(Operator):
         parts, not rows — and multi-page runs evaluate ``fast_mask``
         once over the heap's cached run chunk, recovering the per-page
         statistics with one segmented reduction.  Charges exactly what
-        the row path's ``_process_run`` charges.
+        the row path's ``_process_run`` charges.  Returns the number of
+        rows appended (every appended row is also counted as produced).
         """
         stats = state.stats
+        produced_before = stats.produced
         page_cache = state.page_cache
         tuple_cache = state.tuple_cache
         result_cache = state.result_cache
@@ -683,7 +692,7 @@ class SmoothScan(Operator):
                     stats.produced += len(merged)
                     ctx.charge_emit(len(merged))
                     out.append(merged)
-                    return out
+                    return stats.produced - produced_before
                 if isinstance(mask, _np.ndarray):
                     offsets = [0]
                     for n in lens[:-1]:
@@ -697,7 +706,7 @@ class SmoothScan(Operator):
                         stats.produced += total
                         ctx.charge_emit(total)
                         out.append(merged.filter(mask))
-                    return out
+                    return stats.produced - produced_before
                 # Object-column mask (list): per-page fallback below,
                 # minus the charges already paid for the fetched run.
                 for page in heap.iter_run(run_start, run_len):
@@ -707,7 +716,7 @@ class SmoothScan(Operator):
                         stats.produced += len(matched)
                         ctx.charge_emit(len(matched))
                         out.append(matched)
-                return out
+                return stats.produced - produced_before
             for page in ctx.get_run(heap, run_start, run_len):
                 mark(page.page_id)
                 ctx.charge_cache_insert()
@@ -720,7 +729,7 @@ class SmoothScan(Operator):
                     stats.produced += len(matched)
                     ctx.charge_emit(len(matched))
                     out.append(matched)
-            return out
+            return stats.produced - produced_before
 
         for page in ctx.get_run(heap, run_start, run_len):
             pid = page.page_id
@@ -757,5 +766,5 @@ class SmoothScan(Operator):
                     else:
                         row = rows[i]
                         ctx.charge_cache_insert()
-                        insert(row[col_pos], TID(pid, i), row, disk=ctx.disk)
-        return out
+                        insert(row[col_pos], (pid, i), row, disk=ctx.disk)
+        return stats.produced - produced_before

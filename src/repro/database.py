@@ -224,19 +224,8 @@ class Database:
                           table.schema, heap)
             shard.insert_many(rows)
             for idx_column in sorted(table.indexes):
-                col_pos = table.schema.index_of(idx_column)
-                key_size = table.schema.columns[col_pos].byte_size
-                index = BTreeIndex(
-                    name=f"{shard.name}_{idx_column}_idx",
-                    file_id=self._allocate_file_id(),
-                    key_size=key_size,
-                    page_size=self.config.page_size,
-                )
-                index.bulk_load(
-                    (row[col_pos], tid)
-                    for tid, row in shard.heap.iter_rows()
-                )
-                shard.indexes[idx_column] = index
+                shard.indexes[idx_column] = self._build_index(
+                    shard, idx_column, f"{shard.name}_{idx_column}_idx")
             self._shard_tables[shard.name] = shard
             self.catalog.analyze(shard)
             shards.append(shard)
@@ -276,19 +265,26 @@ class Database:
                 f"table {table_name!r} already has an index on "
                 f"{column!r}; drop_index() it first to rebuild"
             )
-        col_pos = table.schema.index_of(column)
-        key_size = table.schema.columns[col_pos].byte_size
-        index = BTreeIndex(
-            name=name or f"{table_name}_{column}_idx",
-            file_id=self._allocate_file_id(),
-            key_size=key_size,
-            page_size=self.config.page_size,
-        )
-        index.bulk_load(
-            (row[col_pos], tid) for tid, row in table.heap.iter_rows()
-        )
+        index = self._build_index(table, column,
+                                  name or f"{table_name}_{column}_idx")
         table.indexes[column] = index
         self._bump_catalog_version()
+        return index
+
+    def _build_index(self, table: Table, column: str,
+                     name: str) -> BTreeIndex:
+        """Build, but do not register, a B+-tree on ``column`` of
+        ``table``, bulk-loaded from the heap's column values and TID
+        codes."""
+        col_pos = table.schema.index_of(column)
+        index = BTreeIndex(
+            name=name,
+            file_id=self._allocate_file_id(),
+            key_size=table.schema.columns[col_pos].byte_size,
+            page_size=self.config.page_size,
+        )
+        index.bulk_load(table.heap.column_values(col_pos),
+                        table.heap.tid_codes())
         return index
 
     def drop_index(self, table_name: str, column: str) -> None:

@@ -24,9 +24,8 @@ from repro.exec.expressions import (
     require_columns,
 )
 from repro.exec.iterator import Batch, Chunk, Operator
-from repro.index.btree import TID_SHIFT
 from repro.storage.table import Table
-from repro.storage.types import Row, TID
+from repro.storage.types import SLOT_MASK, TID_SHIFT, Row, TID
 
 try:  # pragma: no cover - exercised implicitly when numpy is present
     import numpy as _np
@@ -215,7 +214,7 @@ class SortScan(Operator):
 
         # Phase 2: group the sorted codes by page with one diff pass.
         pages_arr = codes >> TID_SHIFT
-        slots_arr = codes & ((1 << TID_SHIFT) - 1)
+        slots_arr = codes & SLOT_MASK
         bounds = _np.flatnonzero(pages_arr[1:] != pages_arr[:-1]) + 1
         starts = _np.concatenate(([0], bounds))
         ends = _np.concatenate((bounds, [len(codes)]))

@@ -18,21 +18,17 @@ exactly.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 from repro.errors import BTreeError
 from repro.index import layout
-from repro.storage.types import TID
+from repro.storage.chunk import _is_array, _typed_column
+from repro.storage.types import SLOT_MASK, TID, TID_SHIFT
 
 try:  # pragma: no cover - exercised implicitly when numpy is present
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
-
-#: Bits reserved for the slot in a packed TID code (page << SHIFT | slot).
-#: Heap pages hold far fewer than 2**20 tuples, so the packing is exact
-#: and code order equals ``(page_id, slot)`` tuple order.
-TID_SHIFT = 20
 
 
 class IndexPage:
@@ -60,16 +56,58 @@ class BTreeIndex:
         self.fanout = layout.fanout(page_size, key_size)
         self._keys: list = []
         self._tids: list[TID] = []
-        self._codes = None  # packed int64 TID codes, built lazily
+        #: Packed int64 TID codes, parallel to ``_tids``: built by
+        #: :meth:`bulk_load`, rebuilt lazily after point inserts.
+        self._codes = None
 
     # -- construction -----------------------------------------------------
 
-    def bulk_load(self, pairs: Iterable[tuple[object, TID]]) -> None:
-        """Replace the index contents with ``pairs`` (sorted internally)."""
-        entries = sorted(pairs, key=lambda p: (p[0], p[1]))
-        self._keys = [k for k, _ in entries]
-        self._tids = [t for _, t in entries]
-        self._codes = None
+    def bulk_load(self, keys: Sequence, codes) -> None:
+        """Replace the index contents with one entry per heap row.
+
+        ``keys`` are the indexed column's values and ``codes`` the rows'
+        packed TID codes (``page_id << TID_SHIFT | slot``, as
+        :meth:`~repro.storage.heap.HeapFile.tid_codes` returns them),
+        both in heap order.  Heap order is TID order, so the codes
+        ascend and a *stable* sort by key alone yields the strict
+        ``(key, TID)`` order.  Keys that form a typed column (int64 or
+        float64, by :class:`~repro.storage.chunk.Chunk`'s rules) sort by
+        a stable NumPy argsort; any other keys (CHAR, NULL-bearing,
+        mixed) by Python's stable sort.  The index keeps the caller's
+        own key objects, permuted, and its packed-code array is built
+        here rather than on the first code scan.
+        """
+        keys = keys if isinstance(keys, list) else list(keys)
+        if len(keys) != len(codes):
+            raise BTreeError(
+                f"bulk_load got {len(keys)} keys but {len(codes)} TIDs"
+            )
+        if _np is not None:
+            codes = _np.asarray(codes, dtype=_np.int64)
+            ascending = bool((codes[1:] > codes[:-1]).all())
+        else:
+            ascending = all(a < b for a, b in zip(codes, codes[1:]))
+        if not ascending:
+            raise BTreeError("bulk_load needs TID codes in heap order")
+        column = _typed_column(keys)
+        if _is_array(column):
+            order = _np.argsort(column, kind="stable").tolist()
+        else:
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+        self._keys = [keys[i] for i in order]
+        if _np is not None:
+            self._codes = codes = codes[order]
+            pages = (codes >> TID_SHIFT).tolist()
+            slots = (codes & SLOT_MASK).tolist()
+        else:
+            self._codes = None
+            codes = [codes[i] for i in order]
+            pages = [code >> TID_SHIFT for code in codes]
+            slots = [code & SLOT_MASK for code in codes]
+        # TIDs share one int object per page id, as TIDs built from heap
+        # pages do, rather than holding an int of their own per entry.
+        page_ids = list(range(max(pages) + 1)) if pages else []
+        self._tids = list(map(TID, map(page_ids.__getitem__, pages), slots))
 
     def insert(self, key: object, tid: TID) -> None:
         """Insert one entry, preserving strict ``(key, TID)`` order."""

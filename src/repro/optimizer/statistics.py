@@ -9,11 +9,19 @@ reproducible through this module, which is what Figures 1 and 11 need.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
+from itertools import compress
 
 from repro.errors import StatisticsError
+from repro.storage.chunk import ColumnData, _is_array
 from repro.storage.table import Table
+
+try:  # pragma: no cover - exercised implicitly when numpy is present
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy-less fallback environment
+    _np = None
 
 _DEFAULT_BUCKETS = 100
 
@@ -107,12 +115,24 @@ class StatisticsCatalog:
                 prefix_fraction: float | None = None) -> TableStats:
         """Collect statistics for ``table``.
 
-        ``sample_rate`` draws a Bernoulli sample (unbiased, just coarser).
-        ``prefix_fraction`` instead reads only the *first* fraction of the
-        heap — statistics as they would have been collected before the
-        latest data ingest.  On chronologically loaded tables this leaves
-        recent value ranges entirely outside the histograms, the classic
-        stale-statistics failure the paper's motivation describes.
+        ``sample_rate`` draws a Bernoulli sample (unbiased, just coarser):
+        one ``random()`` draw per row read, column by column, in heap
+        order.  ``prefix_fraction`` instead reads only the *first*
+        fraction of the heap — statistics as they would have been
+        collected before the latest data ingest.  On chronologically
+        loaded tables this leaves recent value ranges entirely outside
+        the histograms, the classic stale-statistics failure the paper's
+        motivation describes.
+
+        Each column is read once, as a typed column
+        (:meth:`~repro.storage.heap.HeapFile.column`).  Int64/float64
+        columns are summarized with vectorized NumPy reductions that
+        reproduce the row-at-a-time definitions exactly — minimum and
+        maximum at their first occurrence, distinct counts under Python
+        equality, the same float64 bucket arithmetic — and come back as
+        built-in ``int``/``float``/``list`` values.  CHAR, NULL-bearing
+        and mixed columns (and every column without numpy) keep the
+        row-at-a-time summary.
         """
         if not 0.0 < sample_rate <= 1.0:
             raise StatisticsError("sample_rate must be in (0, 1]")
@@ -133,22 +153,29 @@ class StatisticsCatalog:
             )),
         )
         for name in names:
-            values = []
-            for i, value in enumerate(table.column_values(name)):
-                if i >= seen_rows:
-                    break
-                if sample_rate >= 1.0 or self._rng.random() < sample_rate:
-                    values.append(value)
+            values = table.heap.column(
+                table.schema.index_of(name))[:seen_rows]
+            if sample_rate < 1.0:
+                draw = self._rng.random
+                keep = [draw() < sample_rate for _ in range(len(values))]
+                values = (values[_np.array(keep, dtype=bool)]
+                          if _is_array(values)
+                          else list(compress(values, keep)))
             stats.columns[name] = self._column_stats(name, values,
                                                      seen_rows, buckets)
         self._stats[table.name] = stats
         return stats
 
-    def _column_stats(self, name: str, values: list, row_count: int,
+    def _column_stats(self, name: str, values: ColumnData, row_count: int,
                       buckets: int) -> ColumnStats:
-        if not values:
+        if not len(values):
             return ColumnStats(column=name, row_count=row_count,
                                min_value=None, max_value=None, ndv=0)
+        if _is_array(values):
+            stats = _array_column_stats(name, values, row_count, buckets)
+            if stats is not None:
+                return stats
+            values = values.tolist()
         numeric = all(isinstance(v, (int, float)) for v in values)
         lo, hi = min(values), max(values)
         ndv = len(set(values))
@@ -205,3 +232,31 @@ class StatisticsCatalog:
     def forget(self, table_name: str) -> None:
         """Drop all statistics for a table (simulate missing stats)."""
         self._stats.pop(table_name, None)
+
+
+def _array_column_stats(name: str, values, row_count: int,
+                        buckets: int) -> ColumnStats | None:
+    """:meth:`StatisticsCatalog._column_stats` over a non-empty int64 or
+    float64 array, or None where the row-at-a-time definition must decide
+    (a non-finite span, no buckets)."""
+    if buckets < 1:
+        return None
+    # Python's min/max keep the first of equal values (0.0 vs -0.0);
+    # argmin/argmax return first occurrences too.
+    lo = values[int(values.argmin())].item()
+    hi = values[int(values.argmax())].item()
+    span = float(hi) - float(lo)
+    if not math.isfinite(span):  # infinities, NaNs, float overflow
+        return None
+    ordered = _np.sort(values)
+    ndv = 1 + int(_np.count_nonzero(ordered[1:] != ordered[:-1]))
+    if span <= 0:
+        counts = [len(values)] + [0] * (buckets - 1)
+    else:
+        scaled = (values.astype(_np.float64) - float(lo)) / span * buckets
+        bucket = _np.minimum(scaled.astype(_np.int64), buckets - 1)
+        counts = _np.bincount(bucket, minlength=buckets).tolist()
+    return ColumnStats(column=name, row_count=row_count,
+                       min_value=lo, max_value=hi, ndv=ndv,
+                       histogram=Histogram(lo=float(lo), hi=float(hi),
+                                           counts=counts))

@@ -52,16 +52,14 @@ def _typed_column(values: Sequence) -> ColumnData:
     values = list(values)
     if _np is None or not values:
         return values
-    first = values[0]
-    if type(first) is int:
-        if all(type(v) is int for v in values):
+    kind = type(values[0])
+    if kind is int or kind is float:
+        if set(map(type, values)) == {kind}:
             try:
-                return _np.array(values, dtype=_np.int64)
+                return _np.array(values, dtype=_np.int64 if kind is int
+                                 else _np.float64)
             except OverflowError:
                 return values
-    elif type(first) is float:
-        if all(type(v) is float for v in values):
-            return _np.array(values, dtype=_np.float64)
     return values
 
 

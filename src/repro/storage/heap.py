@@ -9,12 +9,18 @@ faithfully.
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import islice
+from typing import Iterable, Iterator
 
 from repro.errors import StorageError, UnknownPageError
-from repro.storage.chunk import Chunk
+from repro.storage.chunk import Chunk, ColumnData, _typed_column
 from repro.storage.page import HeapPage
-from repro.storage.types import Row, Schema, TID
+from repro.storage.types import TID_SHIFT, Row, Schema, TID
+
+try:  # pragma: no cover - exercised implicitly when numpy is present
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy-less fallback environment
+    _np = None
 
 #: Run-chunk cache bound, in total cached rows, as a multiple of the
 #: heap's row count (distinct scan extents tile the heap once; morphing
@@ -62,6 +68,44 @@ class HeapFile:
             self._run_chunk_rows = 0
         return TID(page.page_id, slot)
 
+    def extend(self, rows: Iterable[Row]) -> int:
+        """Append many rows page-at-a-time; returns how many were stored.
+
+        Stores exactly what :meth:`append` would row by row — the same
+        pages and slots, the same arity check, and the rows before a
+        malformed one are kept — without building a TID per row.
+        """
+        arity = len(self.schema)
+        it = iter(rows)
+        count = 0
+        while True:
+            page = self._pages[-1] if self._pages else None
+            if page is None or page.is_full:
+                page, room = None, self.tuples_per_page
+            else:
+                room = page.capacity - len(page)
+            batch = list(islice(it, room))
+            malformed = None
+            if set(map(len, batch)) - {arity}:
+                bad = next(i for i, row in enumerate(batch)
+                           if len(row) != arity)
+                batch, malformed = batch[:bad], batch[bad]
+            if batch:
+                if page is None:
+                    page = HeapPage(page_id=len(self._pages),
+                                    capacity=self.tuples_per_page)
+                    self._pages.append(page)
+                page.extend(batch)
+                count += len(batch)
+                self._row_count += len(batch)
+                if self._run_chunks:
+                    self._run_chunks.clear()
+                    self._run_chunk_rows = 0
+            if malformed is not None:
+                self.schema.validate_row(malformed)  # raises
+            if len(batch) < room:
+                return count
+
     def run_chunk(self, start: int, n: int, names: tuple[str, ...]) -> Chunk:
         """One chunk spanning pages ``[start, start + n)``, cached.
 
@@ -104,6 +148,41 @@ class HeapFile:
     def iter_run(self, start: int, n: int) -> Iterator[HeapPage]:
         """Yield pages ``[start, start + n)`` without charging I/O."""
         return iter(self._pages[start:start + n])
+
+    def column_values(self, pos: int) -> list:
+        """Column ``pos`` of every stored row, in heap order, as the
+        rows' own value objects (no TIDs built, no I/O charged)."""
+        return [row[pos] for page in self._pages for row in page.all_rows()]
+
+    def column(self, pos: int) -> ColumnData:
+        """Column ``pos`` of every stored row, in heap order, typed like a
+        :class:`Chunk` column: an int64/float64 array when exact, else an
+        object list.
+
+        Offline access for statistics collection: it reads the page row
+        lists directly and leaves the scan caches (page and run chunks)
+        untouched, so scans pay what they paid before.
+        """
+        return _typed_column(self.column_values(pos))
+
+    def tid_codes(self):
+        """Packed TID codes (``page_id << TID_SHIFT | slot``) of every
+        stored row, in heap order, so ascending.
+
+        Computed from page lengths alone: an int64 array, or a list of
+        ints without numpy.
+        """
+        lengths = [len(page) for page in self._pages]
+        if _np is None:
+            return [(page_id << TID_SHIFT) | slot
+                    for page_id, n in enumerate(lengths)
+                    for slot in range(n)]
+        counts = _np.array(lengths, dtype=_np.int64)
+        page_ids = _np.repeat(_np.arange(len(lengths), dtype=_np.int64),
+                              counts)
+        page_starts = _np.repeat(_np.cumsum(counts) - counts, counts)
+        slots = _np.arange(len(page_ids), dtype=_np.int64) - page_starts
+        return (page_ids << TID_SHIFT) | slots
 
     def iter_rows(self) -> Iterator[tuple[TID, Row]]:
         """Yield ``(TID, row)`` in physical order, charging no I/O."""

@@ -48,6 +48,17 @@ class HeapPage:
         self._chunk = None
         return len(self._rows) - 1
 
+    def extend(self, rows: list[Row]) -> None:
+        """Append ``rows`` in slot order; raises PageFullError if they
+        do not all fit."""
+        if len(self._rows) + len(rows) > self.capacity:
+            raise PageFullError(
+                f"page {self.page_id} has {self.capacity - len(self._rows)}"
+                f" free slots, not {len(rows)}"
+            )
+        self._rows.extend(rows)
+        self._chunk = None
+
     def get(self, slot: int) -> Row:
         """Return the row in ``slot``; raises StorageError if unused."""
         if not 0 <= slot < len(self._rows):

@@ -45,7 +45,13 @@ class Table:
         return tid
 
     def insert_many(self, rows: Iterable[Row]) -> int:
-        """Append many rows; returns how many were stored."""
+        """Append many rows; returns how many were stored.
+
+        Without indexes to maintain, the heap appends page-at-a-time
+        (:meth:`~repro.storage.heap.HeapFile.extend`).
+        """
+        if not self.indexes:
+            return self.heap.extend(rows)
         count = 0
         for row in rows:
             self.insert(row)
@@ -66,15 +72,9 @@ class Table:
         """True if a secondary index exists on ``column``."""
         return column in self.indexes
 
-    def column_values(self, column: str) -> Iterable:
-        """Yield the values of one column in heap order (no I/O charged).
-
-        Used by statistics collection and index builds, which the paper
-        treats as offline activity outside measured runs.
-        """
-        idx = self.schema.index_of(column)
-        for _tid, row in self.heap.iter_rows():
-            yield row[idx]
+    def column_values(self, column: str) -> list:
+        """The values of one column in heap order (no I/O charged)."""
+        return self.heap.column_values(self.schema.index_of(column))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -129,6 +129,15 @@ class Schema:
             )
 
 
+#: Bits reserved for the slot in a packed TID code (page << SHIFT | slot).
+#: Heap pages hold far fewer than 2**20 tuples, so the packing is exact
+#: and code order equals ``(page_id, slot)`` tuple order.
+TID_SHIFT = 20
+
+#: Mask of the slot bits in a packed TID code.
+SLOT_MASK = (1 << TID_SHIFT) - 1
+
+
 class TID(NamedTuple):
     """A tuple identifier: heap page number and slot within the page.
 

@@ -5,14 +5,24 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - numpy-less environment
+    np = None
+
 from repro.errors import BTreeError
-from repro.index.btree import BTreeIndex
+from repro.index.btree import TID_SHIFT, BTreeIndex
 from repro.storage.types import Schema, TID
 
 
+def pack(tid):
+    return (tid.page_id << TID_SHIFT) | tid.slot
+
+
 def make_index(pairs, key_size=4):
+    """An index over ``(key, TID)`` pairs listed in heap (TID) order."""
     index = BTreeIndex("idx", file_id=9, key_size=key_size)
-    index.bulk_load(pairs)
+    index.bulk_load([k for k, _t in pairs], [pack(t) for _k, t in pairs])
     return index
 
 
@@ -139,13 +149,39 @@ def test_root_key_separators_empty_cases():
     assert index.root_key_separators(1) == []
 
 
+# Typed-column keys (int64, float64 with signed zeros and infinities)
+# take the NumPy argsort; big ints and strings the Python sort.
+_BULK_KEYS = st.one_of(
+    st.lists(st.integers(min_value=-1000, max_value=1000), max_size=300),
+    st.lists(st.floats(allow_nan=False), max_size=300),
+    st.lists(st.sampled_from([0.0, -0.0, 1.5, -1.5]), max_size=100),
+    st.lists(st.integers(-2**70, 2**70), max_size=100),
+    st.lists(st.text(max_size=4), max_size=300),
+)
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(min_value=-1000, max_value=1000), max_size=300))
+@given(_BULK_KEYS)
 def test_property_bulk_load_matches_sorted(keys):
     pairs = [(k, TID(i // 8, i % 8)) for i, k in enumerate(keys)]
     index = make_index(pairs)
     stored = [index.entry_at(i) for i in range(len(index))]
-    assert stored == sorted(pairs, key=lambda p: (p[0], p[1]))
+    expected = sorted(pairs, key=lambda p: (p[0], p[1]))
+    assert stored == expected
+    # The index keeps the callers' own key objects (0.0 vs -0.0 too).
+    assert all(k is e for (k, _t), (e, _u) in zip(stored, expected,
+                                                  strict=True))
+    if np is not None:
+        assert index._code_array().tolist() == [pack(t)
+                                                for t in index._tids]
+
+
+def test_bulk_load_rejects_codes_out_of_heap_order():
+    with pytest.raises(BTreeError):
+        make_index([(1, TID(0, 1)), (2, TID(0, 0))])
+    index = BTreeIndex("idx", file_id=9, key_size=4)
+    with pytest.raises(BTreeError):
+        index.bulk_load([1, 2], [0])
 
 
 @settings(max_examples=50, deadline=None)

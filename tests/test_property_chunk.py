@@ -9,9 +9,19 @@ indexing would.  Values must come back as built-in Python types, never
 NumPy scalars.
 """
 
+import functools
+import random
+from unittest import mock
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import Database
+from repro.config import EngineConfig
+from repro.core.smooth_scan import SmoothScan
+from repro.exec.expressions import KeyRange
+from repro.exec.iterator import DEFAULT_BATCH_SIZE
 from repro.storage.chunk import Chunk, mask_from_bools
+from repro.storage.types import Schema
 
 SETTINGS = settings(
     max_examples=60,
@@ -117,3 +127,56 @@ def test_filter_and_concat_match_python(batch, data):
         left = Chunk.from_rows(names, rows[:cut])
         right = Chunk.from_rows(names, rows[cut:])
         assert Chunk.concat([left, right]).to_rows() == rows
+
+
+# -- many tiny parts: Smooth Scan's columnar flush bookkeeping ------------
+
+_SPARSE_ROWS = 12_000
+_SPARSE_DOMAIN = 100_000
+
+
+@functools.cache
+def _sparse_table():
+    """30-row pages of uniform ``c2`` keys: a narrow key range leaves
+    about one qualifying row per fetched page."""
+    db = Database(EngineConfig(page_size=1024, page_header=64))
+    rng = random.Random(5)
+    rows = [(i, rng.randrange(_SPARSE_DOMAIN)) for i in range(_SPARSE_ROWS)]
+    table = db.load_table("t", Schema.of_ints(["c1", "c2"]), rows)
+    db.create_index("t", "c2")
+    return db, table, rows
+
+
+@settings(max_examples=25, deadline=None)
+@given(lo=st.integers(0, _SPARSE_DOMAIN - 3_000),
+       width=st.integers(1, 3_000))
+def test_low_selectivity_many_tiny_parts_flush_linearly(lo, width):
+    """At low selectivity the columnar Smooth Scan collects one tiny
+    chunk part per page.  Its flush check must keep a running row count:
+    re-summing every pending part per check is quadratic, which shows
+    here as a ``len()`` count far above the rows produced."""
+    db, table, rows = _sparse_table()
+    hi = lo + width
+    expected = sorted(r for r in rows if lo <= r[1] < hi)
+    row_path = list(SmoothScan(table, "c2", KeyRange(lo, hi)).rows(
+        db.cold_run()))
+
+    calls = 0
+    chunk_len = Chunk.__len__
+
+    def counting_len(chunk):
+        nonlocal calls
+        calls += 1
+        return chunk_len(chunk)
+
+    with mock.patch.object(Chunk, "__len__", counting_len):
+        batches = list(SmoothScan(table, "c2", KeyRange(lo, hi)).batches(
+            db.cold_run()))
+    flat = [row for batch in batches for row in batch]
+    assert flat == row_path
+    assert sorted(flat) == expected
+    # Flush points: every batch but the last is full.
+    assert all(len(b) >= DEFAULT_BATCH_SIZE for b in batches[:-1])
+    # Every part holds at least one row, so linear bookkeeping stays
+    # within a few ``len()`` calls per produced row.
+    assert calls <= 4 * len(expected) + 16, (calls, len(expected))

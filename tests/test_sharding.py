@@ -95,6 +95,39 @@ def test_reshard_and_unshard_lifecycle(micro_db):
         micro_db.unshard_table("micro")
 
 
+@pytest.mark.parametrize("scheme", ["round_robin", "range"])
+def test_shard_builds_match_a_fresh_load_of_the_same_rows(micro_db, scheme):
+    """A shard's indexes and statistics are exactly what create_index
+    and analyze build on a table loaded with the shard's rows."""
+    parent_rows = [row for _tid, row in
+                   micro_db.table("micro").heap.iter_rows()]
+    shard_set = micro_db.shard_table("micro", 3, scheme=scheme)
+    for i, shard in enumerate(shard_set.shards):
+        rows = [row for _tid, row in shard.heap.iter_rows()]
+        if scheme == "round_robin":
+            assert rows == parent_rows[i::3]
+        fresh_db = Database()
+        fresh = fresh_db.load_table("fresh", shard.schema, rows)
+        for column in sorted(shard.indexes):
+            fresh_db.create_index("fresh", column)
+        fresh_db.analyze("fresh")
+        assert shard.num_pages == fresh.num_pages
+        assert set(shard.indexes) == set(fresh.indexes)
+        for column, index in shard.indexes.items():
+            other = fresh.indexes[column]
+            assert index._keys == other._keys
+            assert index._tids == other._tids
+            if index._codes is not None:
+                assert (index._code_array().tolist()
+                        == other._code_array().tolist())
+        got = micro_db.catalog.table_stats(shard.name)
+        want = fresh_db.catalog.table_stats("fresh")
+        assert (got.row_count, got.num_pages) == (want.row_count,
+                                                  want.num_pages)
+        assert got.columns == want.columns
+        assert repr(got.columns) == repr(want.columns)
+
+
 # -- planning and the decision trail -----------------------------------------
 
 
