@@ -4,9 +4,8 @@ Run:  python examples/sql_quickstart.py
 
 Every statement goes through a Connection — the PEP-249-flavored session
 layer: lexer → parser → binder → QuerySpec → the cost-based planner,
-with a plan cache between them.  (``Database.sql()`` still works but is
-deprecated; for an interactive version of this script, run
-``python -m repro.sql``.)
+with a plan cache between them.  (For an interactive version of this
+script, run ``python -m repro.sql``.)
 """
 
 from repro import Database, PlannerOptions

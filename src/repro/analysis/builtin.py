@@ -486,18 +486,20 @@ class IntegerCounterRule(Rule):
 
 @register
 class OperatorProtocolRule(Rule):
-    """RPL106: every concrete Operator implements rows() or batches()."""
+    """RPL106: every concrete Operator implements batches(), none rows()."""
 
     code = "RPL106"
     name = "operator-batch-protocol"
     rationale = (
-        "The Operator base class provides two-way shims between rows() "
-        "and batches(); a concrete operator overriding neither only "
-        "fails at runtime, deep inside a plan.  Every non-abstract "
-        "Operator subclass must implement rows() or batches() somewhere "
-        "in its project-visible ancestry — an operator that genuinely "
-        "cannot execute defines one of them and raises "
-        "NotImplementedError explicitly."
+        "The engine has one execution protocol: batches() yielding "
+        "Chunks.  Operator.rows() is only the base-class flatten used at "
+        "API and test boundaries, so an override would grow a second, "
+        "unmeasured execution path back (fig artifacts are measured on "
+        "batches()).  Every non-abstract Operator subclass must implement "
+        "batches() somewhere in its project-visible ancestry — an "
+        "operator that genuinely cannot execute defines it and raises "
+        "NotImplementedError explicitly — and no subclass may define "
+        "rows()."
     )
 
     def check(self, unit: ModuleUnit,
@@ -508,15 +510,24 @@ class OperatorProtocolRule(Rule):
             info = index.classes.get(node.name)
             if info is None or info.module != unit.path:
                 continue
-            if node.name == "Operator" or info.is_abstract:
+            if node.name == "Operator":
                 continue
             if not index.derives_from(node.name, "Operator"):
                 continue
-            methods = index.inherited_methods(node.name, stop="Operator")
-            if "rows" not in methods and "batches" not in methods:
+            if "rows" in info.methods:
                 yield self.diag(
                     unit, node,
-                    f"Operator subclass {node.name} implements neither "
-                    "rows() nor batches(); implement the batch protocol "
-                    "or explicitly raise NotImplementedError",
+                    f"Operator subclass {node.name} overrides rows(); "
+                    "rows() is the base-class flatten of batches() — "
+                    "implement batches() only",
+                )
+            if info.is_abstract:
+                continue
+            methods = index.inherited_methods(node.name, stop="Operator")
+            if "batches" not in methods:
+                yield self.diag(
+                    unit, node,
+                    f"Operator subclass {node.name} does not implement "
+                    "batches(); implement the batch protocol or "
+                    "explicitly raise NotImplementedError",
                 )

@@ -56,7 +56,6 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.api.result import QueryResult
 from repro.errors import InterfaceError
-from repro.exec.iterator import Chunk
 from repro.exec.stats import StreamingRun, measure
 from repro.optimizer.plan_cache import options_fingerprint
 from repro.optimizer.planner import PlannedQuery, Planner, PlannerOptions
@@ -191,8 +190,8 @@ class Connection:
 
         The one-shot twin of a cursor: plan (through the plan cache),
         drain, and return a :class:`~repro.api.result.QueryResult`; an
-        ``EXPLAIN`` statement returns the rendered plan string.  This is
-        what the deprecated ``Database.sql()`` facade delegates to.
+        ``EXPLAIN`` statement returns the rendered plan string (use
+        :meth:`execute` for EXPLAIN as a result set).
         """
         self._check_open()
         if isinstance(sql, PreparedStatement):
@@ -560,9 +559,7 @@ class Cursor:
         if batch is None:
             return False
         # Rowify here, at the API boundary — batches arrive columnar.
-        self._buffer.extend(
-            batch.to_rows() if isinstance(batch, Chunk) else batch
-        )
+        self._buffer.extend(batch.to_rows())
         return True
 
     def _maybe_finish(self) -> None:

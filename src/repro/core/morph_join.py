@@ -28,7 +28,7 @@ from typing import Iterator
 from repro.context import ExecutionContext
 from repro.core.caches import PageIdCache
 from repro.exec.expressions import Predicate, TruePredicate
-from repro.exec.iterator import Batch, Operator
+from repro.exec.iterator import Chunk, Operator
 from repro.exec.joins import _joined_schema
 from repro.storage.table import Table
 from repro.storage.types import Row
@@ -82,53 +82,7 @@ class MorphingIndexJoin(Operator):
     def name(self) -> str:
         return f"MorphingIndexJoin({self.inner_table.name})"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        heap = self.inner_table.heap
-        stats = MorphJoinStats()
-        self.last_stats = stats
-        matches = self.residual.bind(self.schema)
-        key_pos = self.inner_key_pos
-
-        tuple_cache: dict[object, list[Row]] = {}
-        page_cache = PageIdCache(heap.num_pages)
-        #: Keys for which every pointing page has been processed — their
-        #: cache entry is complete and the index never needs consulting.
-        complete_keys: set[object] = set()
-
-        def absorb_page(page) -> None:
-            """Cache every tuple of a fetched inner page (the morph)."""
-            page_cache.mark(page.page_id)
-            stats.pages_fetched += 1
-            ctx.charge_inspect(len(page))
-            for row in page:
-                ctx.charge_cache_insert()
-                tuple_cache.setdefault(row[key_pos], []).append(row)
-
-        for orow in self.outer.rows(ctx):
-            stats.outer_rows += 1
-            key = orow[self.outer_pos]
-            ctx.charge_cache_probe()
-            if key in complete_keys:
-                stats.cache_hits += 1
-                inner_rows = tuple_cache.get(key, ())
-            else:
-                # Index consulted only for not-yet-complete keys.
-                stats.index_probes += 1
-                tids = list(self.index.lookup(ctx, key))
-                for tid in tids:
-                    if not page_cache.is_seen(tid.page_id):
-                        absorb_page(ctx.get_page(heap, tid.page_id))
-                complete_keys.add(key)
-                inner_rows = tuple_cache.get(key, ())
-            for irow in inner_rows:
-                joined = orow + irow
-                ctx.charge_inspect()
-                if matches(joined):
-                    stats.emitted += 1
-                    ctx.charge_emit()
-                    yield joined
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         """Probe the morphing cache one outer batch at a time."""
         heap = self.inner_table.heap
         stats = MorphJoinStats()
@@ -136,9 +90,12 @@ class MorphingIndexJoin(Operator):
         matches = self.residual.bind(self.schema)
         key_pos = self.inner_key_pos
         opos = self.outer_pos
+        names = self.schema.column_names
 
         tuple_cache: dict[object, list[Row]] = {}
         page_cache = PageIdCache(heap.num_pages)
+        #: Keys for which every pointing page has been processed — their
+        #: cache entry is complete and the index never needs consulting.
         complete_keys: set[object] = set()
         cache_get = tuple_cache.get
         is_seen = page_cache.is_seen
@@ -147,7 +104,7 @@ class MorphingIndexJoin(Operator):
             stats.outer_rows += len(obatch)
             ctx.charge_cache_probe(len(obatch))
             out: list[Row] = []
-            for orow in obatch:
+            for orow in obatch.to_rows():
                 key = orow[opos]
                 if key in complete_keys:
                     stats.cache_hits += 1
@@ -173,7 +130,7 @@ class MorphingIndexJoin(Operator):
                         ctx.charge_emit()
                         out.append(joined)
             if out:
-                yield out
+                yield Chunk.from_rows(names, out)
 
     @staticmethod
     def _absorb_page(ctx: ExecutionContext, page, tuple_cache: dict,

@@ -21,16 +21,14 @@ index, a key range and a residual predicate.  With ``ordered=True`` it
 emits in strict index-key order (usable under ORDER BY / merge joins),
 otherwise tuples stream out as pages are processed.
 
-Both execution protocols are implemented natively.  :meth:`SmoothScan.rows`
-is the paper's tuple-at-a-time pipeline; :meth:`SmoothScan.batches` is the
-batch-vectorized engine — index entries arrive one leaf at a time
+Execution is batch-vectorized (:meth:`SmoothScan.batches`): index
+entries arrive one leaf at a time
 (:meth:`~repro.index.btree.BTreeIndex.scan_batches`), morphing-region runs
-are probed whole and their output accumulated into batches flushed at the
+are probed whole and their output accumulated into chunks flushed at the
 batch-size threshold, and page probing compiles the key range and residual
-predicate into selection lists instead of calling a closure per tuple.
-Run as a single operator, the two paths produce identical rows in
-identical order and charge identical simulated costs; only real (Python)
-execution time differs.
+predicate into masks or selection lists instead of calling a closure per
+tuple.  Charges follow the paper's per-tuple model exactly — one probe,
+inspection, cache operation or emission per tuple, paid in bulk.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from repro.exec.expressions import (
     require_columns,
 )
 from repro.storage.chunk import mask_and
-from repro.exec.iterator import Batch, Chunk, DEFAULT_BATCH_SIZE, Operator
+from repro.exec.iterator import Chunk, DEFAULT_BATCH_SIZE, Operator
 from repro.storage.table import Table
 from repro.storage.types import SLOT_MASK, TID_SHIFT, Row, TID
 
@@ -68,7 +66,7 @@ _DEFAULT_RESULT_CACHE_PARTITIONS = 16
 
 @dataclass
 class _RunState:
-    """Per-execution state shared by the row and batch paths."""
+    """Per-execution caches, statistics and policy state."""
 
     stats: SmoothScanStats
     page_cache: PageIdCache
@@ -189,183 +187,9 @@ class SmoothScan(Operator):
             names=self.schema.column_names,
         )
 
-    # -- tuple-at-a-time execution ----------------------------------------
+    # -- execution ---------------------------------------------------------
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        heap = self.table.heap
-        state = self._prepare(ctx)
-        stats = state.stats
-        page_cache = state.page_cache
-        tuple_cache = state.tuple_cache
-        result_cache = state.result_cache
-        policy = state.policy
-        max_region = state.max_region
-        col_pos = state.col_pos
-
-        residual_fn = self.residual.bind(self.schema)
-        in_range = self.key_range.contains
-        tracer = ctx.runtime.tracer
-
-        region = policy.initial_region()
-        mode0_active = not self.trigger.eager
-        flattened = False
-        pages_res_global = 0
-        pages_seen_smooth = 0
-
-        rng = self.key_range
-        for key, tid in self.index.scan(
-            ctx, lo=rng.lo, hi=rng.hi,
-            lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
-        ):
-            stats.probes += 1
-
-            # ---- Mode 0: traditional index scan until the trigger fires.
-            if mode0_active:
-                page = ctx.get_page(heap, tid.page_id)
-                stats.mode0_page_fetches += 1
-                ctx.charge_inspect()
-                row = page.get(tid.slot)
-                if residual_fn(row):
-                    stats.mode0_tuples += 1
-                    stats.produced += 1
-                    assert tuple_cache is not None
-                    tuple_cache.add(tid)
-                    ctx.charge_cache_insert()
-                    ctx.charge_emit()
-                    yield row
-                if self.trigger.should_morph(stats.produced):
-                    mode0_active = False
-                    stats.morphed_at = stats.produced
-                    tracer.emit(
-                        "morph.trigger",
-                        query_id=tracer.current_query_id,
-                        value=float(stats.produced),
-                        probes=stats.probes, trigger=self.trigger.name,
-                    )
-                    override = self.trigger.post_morph_policy()
-                    if override is not None:
-                        policy = override
-                continue
-
-            # ---- Smooth modes: Result Cache first (ordered only) ...
-            if result_cache is not None:
-                result_cache.advance(key)
-                ctx.charge_cache_probe()
-                cached = result_cache.take(key, tid, disk=ctx.disk)
-                if cached is not None:
-                    stats.produced += 1
-                    ctx.charge_emit()
-                    yield cached
-                    continue
-
-            # ---- ... then the Page ID cache check.
-            ctx.charge_cache_probe()
-            if page_cache.is_seen(tid.page_id):
-                continue
-
-            # ---- Fetch and process the morphing region.
-            start = tid.page_id
-            end = min(heap.num_pages, start + region)
-            region_pages = 0
-            run_start: int | None = None
-            for pid in range(start, end):
-                if page_cache.is_seen(pid):
-                    if run_start is not None:
-                        yield from self._process_run(
-                            ctx, heap, run_start, pid - run_start,
-                            page_cache, tuple_cache, result_cache,
-                            col_pos, in_range, residual_fn, tid, stats,
-                        )
-                        region_pages += pid - run_start
-                        run_start = None
-                    continue
-                if run_start is None:
-                    run_start = pid
-            if run_start is not None:
-                yield from self._process_run(
-                    ctx, heap, run_start, end - run_start,
-                    page_cache, tuple_cache, result_cache,
-                    col_pos, in_range, residual_fn, tid, stats,
-                )
-                region_pages += end - run_start
-
-            region_pages_res = stats.pages_with_results - pages_res_global
-            pages_res_global = stats.pages_with_results
-            pages_seen_smooth += region_pages
-
-            # ---- Policy update (Eqs. (1) and (2)).
-            if region_pages > 0 and pages_seen_smooth > 0:
-                local_sel = region_pages_res / region_pages
-                global_sel = pages_res_global / pages_seen_smooth
-                region = min(
-                    max_region,
-                    max(1, policy.next_region(region, local_sel, global_sel)),
-                )
-                stats.region_trace.append((stats.probes, region))
-                if region > stats.max_region_used:
-                    stats.max_region_used = region
-                if region > 1 and not flattened:
-                    # Mode 1 → Mode 2: the region first grew past one
-                    # page, with the selectivities that drove it.
-                    flattened = True
-                    tracer.emit(
-                        "morph.flatten",
-                        query_id=tracer.current_query_id,
-                        value=float(region),
-                        local_selectivity=local_sel,
-                        global_selectivity=global_sel,
-                    )
-        tracer.emit(
-            "morph.finish", query_id=tracer.current_query_id,
-            value=float(stats.pages_fetched),
-            pages_fetched=stats.pages_fetched, produced=stats.produced,
-            probes=stats.probes, max_region=stats.max_region_used,
-            morphed_at=stats.morphed_at,
-        )
-
-    def _process_run(self, ctx: ExecutionContext, heap, run_start: int,
-                     run_len: int, page_cache: PageIdCache,
-                     tuple_cache: TupleIdCache | None,
-                     result_cache: ResultCache | None, col_pos: int,
-                     in_range, residual_fn, probe_tid: TID,
-                     stats: SmoothScanStats) -> Iterator[Row]:
-        """Fetch one contiguous run of unseen pages and probe them fully."""
-        for page in ctx.get_run(heap, run_start, run_len):
-            page_cache.mark(page.page_id)
-            ctx.charge_cache_insert()
-            stats.pages_fetched += 1
-            ctx.charge_inspect(len(page))
-            page_has_result = False
-            for slot, row in page.rows_with_slots():
-                key = row[col_pos]
-                if not in_range(key) or not residual_fn(row):
-                    continue
-                page_has_result = True
-                t = TID(page.page_id, slot)
-                if tuple_cache is not None:
-                    # Fig. 7b's post-morph overhead: a produced-tuple check
-                    # for every qualifying tuple found by Smooth Scan.
-                    ctx.charge_cache_probe()
-                    if tuple_cache.contains(t):
-                        continue
-                if result_cache is None:
-                    stats.produced += 1
-                    ctx.charge_emit()
-                    yield row
-                elif t == probe_tid:
-                    stats.produced += 1
-                    ctx.charge_emit()
-                    yield row
-                else:
-                    ctx.charge_cache_insert()
-                    result_cache.insert(key, (page.page_id, slot), row,
-                                        disk=ctx.disk)
-            if page_has_result:
-                stats.pages_with_results += 1
-
-    # -- batch-vectorized execution ----------------------------------------
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         heap = self.table.heap
         state = self._prepare(ctx)
         stats = state.stats
@@ -416,8 +240,9 @@ class SmoothScan(Operator):
 
         # In the columnar config ``pending`` accumulates chunk parts (one
         # per qualifying page run), concatenated at flush; otherwise it
-        # accumulates rows as before.
+        # accumulates rows, wrapped as one chunk at flush.
         columnar = fast_filter is not None
+        names = state.names
         pending: list = []
         # Rows held in ``pending`` as a running count, maintained where
         # ``_emit_run`` fills it: at low selectivity one tiny chunk part
@@ -429,8 +254,9 @@ class SmoothScan(Operator):
         def pending_size() -> int:
             return pending_rows if columnar else len(pending)
 
-        def as_batch(parts: list) -> Batch:
-            return Chunk.concat(parts) if columnar else parts
+        def as_batch(parts: list) -> Chunk:
+            return Chunk.concat(parts) if columnar \
+                else Chunk.from_rows(names, parts)
 
         # Hot-loop bookkeeping kept in locals: the probe ordinal and the
         # per-batch count of Page-ID-cache probes (charged in bulk per
@@ -441,7 +267,7 @@ class SmoothScan(Operator):
         probes = 0
         rng = self.key_range
 
-        def probe_region(tid: TID) -> Iterator[Batch]:
+        def probe_region(tid: TID) -> Iterator[Chunk]:
             """Fetch/process the morphing region at ``tid``, yield flushes.
 
             Shared by the scalar and vectorized probe loops; updates the
@@ -522,14 +348,13 @@ class SmoothScan(Operator):
         # bitmap and jump straight to the next unseen page, recomputing
         # the seen mask only after each region fetch flips bits.
         seen_bits = page_cache.seen_view() if columnar else None
+        code_batches = None
         if seen_bits is not None:
             code_batches = self.index.scan_code_batches(
                 ctx, lo=rng.lo, hi=rng.hi,
                 lo_inclusive=rng.lo_inclusive,
                 hi_inclusive=rng.hi_inclusive,
             )
-        else:
-            code_batches = None
         if code_batches is not None:
             for codes in code_batches:
                 n = len(codes)
@@ -554,88 +379,80 @@ class SmoothScan(Operator):
                     j = k + 1
                 if page_checks:
                     ctx.charge_cache_probe(page_checks)
-            stats.probes = probes
-            if pending:
-                yield as_batch(pending)
-            tracer.emit(
-                "morph.finish", query_id=tracer.current_query_id,
-                value=float(stats.pages_fetched),
-                pages_fetched=stats.pages_fetched,
-                produced=stats.produced, probes=stats.probes,
-                max_region=stats.max_region_used,
-                morphed_at=stats.morphed_at,
-            )
-            return
+        else:
+            for keys, tids in self.index.scan_batches(
+                ctx, lo=rng.lo, hi=rng.hi,
+                lo_inclusive=rng.lo_inclusive,
+                hi_inclusive=rng.hi_inclusive,
+            ):
+                page_checks = 0
+                for j in range(len(keys)):
+                    tid = tids[j]
+                    probes += 1
 
-        for keys, tids in self.index.scan_batches(
-            ctx, lo=rng.lo, hi=rng.hi,
-            lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
-        ):
-            page_checks = 0
-            for j in range(len(keys)):
-                tid = tids[j]
-                probes += 1
-
-                # ---- Mode 0: per-probe random fetches until the trigger
-                # fires; inherently tuple-at-a-time.
-                if mode0_active:
-                    page = ctx.get_page(heap, tid.page_id)
-                    stats.mode0_page_fetches += 1
-                    ctx.charge_inspect()
-                    row = page.get(tid.slot)
-                    if residual_fn(row):
-                        stats.mode0_tuples += 1
-                        stats.produced += 1
-                        assert tuple_cache is not None
-                        tuple_cache.add(tid)
-                        ctx.charge_cache_insert()
-                        ctx.charge_emit()
-                        pending.append(row)
-                        if len(pending) >= DEFAULT_BATCH_SIZE:
-                            stats.probes = probes
-                            yield pending
-                            pending = []
-                    if self.trigger.should_morph(stats.produced):
-                        mode0_active = False
-                        stats.morphed_at = stats.produced
-                        tracer.emit(
-                            "morph.trigger",
-                            query_id=tracer.current_query_id,
-                            value=float(stats.produced),
-                            probes=probes, trigger=self.trigger.name,
-                        )
-                        override = self.trigger.post_morph_policy()
-                        if override is not None:
-                            policy = override
-                    continue
-
-                # ---- Smooth modes: Result Cache first (ordered only) ...
-                if result_cache is not None:
-                    key = keys[j]
-                    result_cache.advance(key)
-                    ctx.charge_cache_probe()
-                    cached = result_cache.take(key, tid, disk=ctx.disk)
-                    if cached is not None:
-                        stats.produced += 1
-                        ctx.charge_emit()
-                        pending.append(cached)
-                        if len(pending) >= DEFAULT_BATCH_SIZE:
-                            stats.probes = probes
-                            yield pending
-                            pending = []
+                    # ---- Mode 0: per-probe random fetches until the
+                    # trigger fires; inherently tuple-at-a-time.
+                    if mode0_active:
+                        page = ctx.get_page(heap, tid.page_id)
+                        stats.mode0_page_fetches += 1
+                        ctx.charge_inspect()
+                        row = page.get(tid.slot)
+                        if residual_fn(row):
+                            stats.mode0_tuples += 1
+                            stats.produced += 1
+                            assert tuple_cache is not None
+                            tuple_cache.add(tid)
+                            ctx.charge_cache_insert()
+                            ctx.charge_emit()
+                            pending.append(row)
+                            if len(pending) >= DEFAULT_BATCH_SIZE:
+                                stats.probes = probes
+                                yield as_batch(pending)
+                                pending = []
+                        if self.trigger.should_morph(stats.produced):
+                            mode0_active = False
+                            stats.morphed_at = stats.produced
+                            tracer.emit(
+                                "morph.trigger",
+                                query_id=tracer.current_query_id,
+                                value=float(stats.produced),
+                                probes=probes, trigger=self.trigger.name,
+                            )
+                            override = self.trigger.post_morph_policy()
+                            if override is not None:
+                                policy = override
                         continue
 
-                # ---- ... then the Page ID cache check.
-                page_checks += 1
-                if is_seen(tid.page_id):
-                    continue
+                    # ---- Smooth modes: Result Cache first (ordered
+                    # only) ...
+                    if result_cache is not None:
+                        key = keys[j]
+                        result_cache.advance(key)
+                        ctx.charge_cache_probe()
+                        cached = result_cache.take(key, tid, disk=ctx.disk)
+                        if cached is not None:
+                            stats.produced += 1
+                            ctx.charge_emit()
+                            pending.append(cached)
+                            if len(pending) >= DEFAULT_BATCH_SIZE:
+                                stats.probes = probes
+                                yield as_batch(pending)
+                                pending = []
+                            continue
 
-                # ---- Fetch and process the morphing region, emitting each
-                # contiguous run of unseen pages as one whole batch.
-                yield from probe_region(tid)
-            if page_checks:
-                ctx.charge_cache_probe(page_checks)
+                    # ---- ... then the Page ID cache check.
+                    page_checks += 1
+                    if is_seen(tid.page_id):
+                        continue
 
+                    # ---- Fetch and process the morphing region, emitting
+                    # each contiguous run of unseen pages as one batch.
+                    yield from probe_region(tid)
+                if page_checks:
+                    ctx.charge_cache_probe(page_checks)
+
+        # Both probe loops end here.  An abandoned scan (e.g. under a
+        # Limit) never gets this far, so it emits no morph.finish.
         stats.probes = probes
         if pending:
             yield as_batch(pending)
@@ -661,8 +478,10 @@ class SmoothScan(Operator):
         is narrowed by mask instead — ``out`` then accumulates chunk
         parts, not rows — and multi-page runs evaluate ``fast_mask``
         once over the heap's cached run chunk, recovering the per-page
-        statistics with one segmented reduction.  Charges exactly what
-        the row path's ``_process_run`` charges.  Returns the number of
+        statistics with one segmented reduction.  Charges, per fetched
+        page, one Page-ID-cache insert and an inspection per tuple; per
+        qualifying tuple, a Tuple-ID-cache probe (non-eager triggers) and
+        an emission or a Result Cache insert.  Returns the number of
         rows appended (every appended row is also counted as produced).
         """
         stats = state.stats

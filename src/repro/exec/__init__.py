@@ -19,7 +19,6 @@ from repro.exec.expressions import (
     range_selector,
 )
 from repro.exec.iterator import (
-    Batch,
     DEFAULT_BATCH_SIZE,
     Operator,
     explain,
@@ -52,7 +51,6 @@ from repro.exec.stats import RunResult, StreamingRun, measure
 __all__ = [
     "AggSpec",
     "And",
-    "Batch",
     "Between",
     "DEFAULT_BATCH_SIZE",
     "Comparison",

@@ -14,7 +14,7 @@ order — bitwise identical to the row loop's sequential ``total += value``
 cannot be handled exactly (an object column, a NULL, a NaN under min/max),
 the array state is demoted *losslessly* into the row accumulators and
 execution continues tuple-at-a-time — values, not just results, stay
-byte-for-byte equal to the pure row path.
+byte-for-byte equal to accumulating every row tuple-at-a-time.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from repro.context import ExecutionContext
 from repro.errors import PlanningError
-from repro.exec.iterator import Batch, Chunk, DEFAULT_BATCH_SIZE, Operator
+from repro.exec.iterator import Chunk, DEFAULT_BATCH_SIZE, Operator
 from repro.storage.types import Column, ColumnType, Row, Schema
 
 try:  # pragma: no cover - exercised implicitly when numpy is present
@@ -373,21 +373,7 @@ class HashAggregate(Operator):
         funcs = ", ".join(f"{s.func}({s.column or '*'})" for s in self.aggs)
         return f"HashAggregate([{keys}] {funcs})"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        groups: dict[tuple, list[_Accumulator]] = {}
-        gpos = self._group_positions
-        for row in self.child.rows(ctx):
-            ctx.charge_hash()
-            key = tuple(row[p] for p in gpos)
-            accs = groups.get(key)
-            if accs is None:
-                accs = [_Accumulator(s.func) for s in self.aggs]
-                groups[key] = accs
-            for acc, getter in zip(accs, self._getters, strict=False):
-                acc.add(getter(row) if getter is not None else 1)
-        yield from self._results(ctx, groups)
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         groups: dict[tuple, list[_Accumulator]] = {}
         gpos = self._group_positions
         getters = self._getters
@@ -399,13 +385,13 @@ class HashAggregate(Operator):
         for batch in self.child.batches(ctx):
             ctx.charge_hash(len(batch))
             if vstate is not None:
-                if isinstance(batch, Chunk) and vstate.update(batch):
+                if vstate.update(batch):
                     continue
-                # Inexact batch (row list, object column, NaN …): demote
-                # the array state and finish tuple-at-a-time.
+                # Inexact batch (object column, NaN …): demote the array
+                # state and finish tuple-at-a-time.
                 groups = vstate.demote()
                 vstate = None
-            for row in batch:
+            for row in batch.to_rows():
                 key = tuple(row[p] for p in gpos)
                 accs = groups.get(key)
                 if accs is None:

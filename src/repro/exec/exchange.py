@@ -42,9 +42,8 @@ from typing import Iterator, Sequence
 
 from repro.context import ExecutionContext
 from repro.errors import ExecutionError
-from repro.exec.iterator import Batch, Chunk, Operator
+from repro.exec.iterator import Chunk, Operator
 from repro.runtime import CostLedger
-from repro.storage.types import Row
 
 
 def _check_children(children: Sequence[Operator], who: str) -> None:
@@ -63,7 +62,7 @@ class ShardedScan(Operator):
     """One shard's scan, labeled with its shard identity.
 
     A thin wrapper around whichever access path the planner chose for
-    this shard — it delegates both protocols unchanged — existing so
+    this shard — it delegates execution unchanged — existing so
     ``explain()`` output and telemetry name the shard, and so the
     Exchange can attribute the slice to the right ledger without
     inspecting the child.
@@ -82,10 +81,7 @@ class ShardedScan(Operator):
     def children(self) -> tuple[Operator, ...]:
         return (self.child,)
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        return self.child.rows(ctx)
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         return self.child.batches(ctx)
 
 
@@ -109,11 +105,7 @@ class UnionAll(Operator):
     def children(self) -> tuple[Operator, ...]:
         return self._children
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        for child in self._children:
-            yield from child.rows(ctx)
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         for child in self._children:
             yield from child.batches(ctx)
 
@@ -153,13 +145,7 @@ class Exchange(Operator):
             return child.shard_name
         return f"shard{index}"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        """Row protocol: the same interleaving, flattened per batch."""
-        for batch in self.batches(ctx):
-            yield from (batch.to_rows() if isinstance(batch, Chunk)
-                        else batch)
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         runtime = ctx.runtime
         clock = ctx.clock
         disk = ctx.disk

@@ -1,74 +1,58 @@
 """Volcano-style physical operators with columnar batch execution.
 
 Every operator exposes its output :class:`~repro.storage.types.Schema` and
-two execution entry points:
+one execution protocol, :meth:`Operator.batches`: a generator of
+:class:`~repro.storage.chunk.Chunk` batches (named, array-backed columns
+plus an optional selection vector), charging simulated costs through the
+:class:`~repro.context.ExecutionContext` as it goes.  Generators keep the
+pipelined execution model whose preservation is one of Smooth Scan's
+selling points over the blocking Sort Scan; batching amortizes per-tuple
+Python overhead (generator resumption, closure calls, scalar boxing)
+over whole heap pages or morphing-region runs.  Operators on the hot
+path run columnar — predicates compile to boolean masks over whole
+columns (:meth:`~repro.exec.expressions.Predicate.bind_mask`), filters
+narrow chunks by selection vector instead of copying rows, and simulated
+costs are charged in bulk.  Operators whose work is inherently
+tuple-at-a-time (index probes, joins that concatenate rows) collect rows
+and wrap them with :meth:`Chunk.from_rows`, which transposes only if a
+consumer reads a column.
 
-* :meth:`Operator.rows` — the classic tuple-at-a-time generator: yield one
-  row, charging simulated costs through the
-  :class:`~repro.context.ExecutionContext` as it goes.  Generators give
-  exactly the pipelined execution model whose preservation is one of
-  Smooth Scan's selling points over the blocking Sort Scan.
-* :meth:`Operator.batches` — columnar execution: yield *batches*, which
-  are :class:`~repro.storage.chunk.Chunk` objects (named, array-backed
-  columns plus an optional selection vector).  Operators on the hot path
-  implement this natively — predicates are compiled to boolean masks over
-  whole columns (:meth:`~repro.exec.expressions.Predicate.bind_mask`),
-  filters narrow chunks by selection vector instead of copying rows,
-  simulated costs are charged in bulk, and per-tuple Python overhead
-  (generator resumption, closure calls, scalar boxing) is amortized over
-  whole heap pages or morphing-region runs.
-
-The two protocols are interchangeable: the base class provides a
-row-compat shim both ways, so an operator may implement either one (or
-both) and its parents may consume whichever they prefer.  A concrete
-operator must override at least one of the two — calling an operator that
-overrides neither raises ``NotImplementedError``.
+:meth:`Operator.rows` is not a second protocol: it flattens
+``batches()`` for callers at the API and test boundaries, and no
+operator overrides it (``repro-lint`` rule RPL106 enforces both halves).
 
 Batch contract:
 
-* a batch is a non-empty :class:`Chunk` (or, for legacy row-native
-  producers, a non-empty ``list`` of rows — both support ``len()``,
-  iteration yielding row tuples, indexing, and slicing); producers never
-  yield empty batches, and the base-class shims enforce this — an empty
-  producer yields *zero* batches, never an empty one;
-* concatenating an operator's batches — i.e. chaining their row views —
-  yields exactly its ``rows()`` stream, in the same order;
-  ``Chunk.to_rows()`` round-trips exactly, including NULLs and CHAR
+* a batch is a non-empty :class:`Chunk` — it supports ``len()``,
+  iteration yielding row tuples, indexing and slicing; an empty producer
+  yields *zero* batches, never an empty one;
+* ``Chunk.to_rows()`` round-trips exactly, including NULLs and CHAR
   values, and always yields built-in Python scalars;
 * batch sizes are bounded but not fixed — natural producer units (a heap
   page, an extent run, a morphing region) are preferred over re-chunking,
-  and the default shim chunks at :data:`DEFAULT_BATCH_SIZE`;
-* every operator charges the same per-tuple simulated costs on both
-  protocols, and a single operator run in isolation charges *identical*
-  totals; the columnar representation is invisible to the cost model by
-  construction, because charges key off page/run/tuple counts which the
-  chunk carries.  In multi-operator plans, however, batching reorders
-  page accesses between subtrees — children are drained in large chunks
-  instead of row-by-row interleaving — and the simulated disk (head
-  position) and buffer pool (LRU locality) legitimately reward that,
-  exactly as real hardware rewards vectorized execution.  Cold-run
-  figures are measured on the batch path (see
+  and row-collecting operators flush at :data:`DEFAULT_BATCH_SIZE`;
+* charges key off page/run/tuple counts, which the chunk carries, so the
+  columnar representation is invisible to the cost model.  Draining
+  children in whole batches clusters each subtree's page accesses, and
+  the simulated disk (head position) and buffer pool (LRU locality)
+  reward that, exactly as real hardware rewards vectorized execution.
+  Cold-run figures are measured on this protocol (see
   :func:`~repro.exec.stats.measure`).
 """
 
 from __future__ import annotations
 
 from abc import ABC
-from itertools import islice
-from typing import Iterator, Union
+from typing import Iterator
 
 from repro.context import ExecutionContext
 from repro.storage.chunk import Chunk
 from repro.storage.types import Row, Schema
 
-#: A batch: a columnar chunk, or (legacy row-native producers) a row list.
-Batch = Union[Chunk, list]
-
-#: Rows per batch produced by the default ``rows() -> batches()`` shim.
+#: Rows per batch for operators that collect rows before flushing.
 DEFAULT_BATCH_SIZE = 1024
 
 __all__ = [
-    "Batch",
     "Chunk",
     "DEFAULT_BATCH_SIZE",
     "Operator",
@@ -82,45 +66,19 @@ class Operator(ABC):
     #: Output schema; set by each concrete operator's ``__init__``.
     schema: Schema
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        """Yield output rows, charging simulated costs on ``ctx``.
-
-        The default implementation flattens :meth:`batches`; operators
-        without a native batch implementation override this instead.
-        """
-        if type(self).batches is Operator.batches:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither rows() nor "
-                "batches()"
-            )
-        for batch in self.batches(ctx):
-            if not len(batch):
-                raise AssertionError(
-                    f"{type(self).__name__}.batches() yielded an empty "
-                    "batch, violating the batch contract"
-                )
-            yield from batch
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         """Yield output batches (non-empty chunks), charging costs.
 
-        The default implementation chunks :meth:`rows` into
-        :data:`DEFAULT_BATCH_SIZE`-row :class:`Chunk` batches (an empty
-        producer yields zero batches); batch-native operators override
-        this with columnar execution.
+        The one method a concrete operator must implement.
         """
-        if type(self).rows is Operator.rows:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither rows() nor "
-                "batches()"
-            )
-        names = self.schema.column_names
-        it = self.rows(ctx)
-        while True:
-            rows = list(islice(it, DEFAULT_BATCH_SIZE))
-            if not rows:
-                return
-            yield Chunk.from_rows(names, rows)
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement batches()"
+        )
+
+    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
+        """Yield output rows: :meth:`batches`, flattened."""
+        for batch in self.batches(ctx):
+            yield from batch.to_rows()
 
     def children(self) -> tuple["Operator", ...]:
         """Child operators, for plan display; leaves return ()."""
@@ -134,7 +92,7 @@ class Operator(ABC):
         """Run to completion and materialize all output rows."""
         out: list[Row] = []
         for batch in self.batches(ctx):
-            out.extend(batch.to_rows() if isinstance(batch, Chunk) else batch)
+            out.extend(batch.to_rows())
         return out
 
 

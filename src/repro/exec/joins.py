@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 from repro.context import ExecutionContext
 from repro.errors import PlanningError
 from repro.exec.expressions import Predicate, TruePredicate
-from repro.exec.iterator import Batch, Chunk, Operator
+from repro.exec.iterator import Chunk, DEFAULT_BATCH_SIZE, Operator
 from repro.storage.table import Table
 from repro.storage.types import Row, Schema
 
@@ -68,95 +68,47 @@ class HashJoin(Operator):
     def name(self) -> str:
         return f"HashJoin({self.join_type})"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        table = self._build(ctx)
-        lpos = self.left_positions
-        pad = (None,) * len(self.right.schema)
-        for row in self.left.rows(ctx):
-            ctx.charge_hash()
-            matches = table.get(tuple(row[p] for p in lpos))
-            if self.join_type == "inner":
-                for match in matches or ():
-                    ctx.charge_emit()
-                    yield row + match
-            elif self.join_type == "left":
-                if matches:
-                    for match in matches:
-                        ctx.charge_emit()
-                        yield row + match
-                else:
-                    ctx.charge_emit()
-                    yield row + pad
-            elif self.join_type == "semi":
-                if matches:
-                    ctx.charge_emit()
-                    yield row
-            else:  # anti
-                if not matches:
-                    ctx.charge_emit()
-                    yield row
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         """Probe the hash table one left batch at a time.
 
-        Single-key probes against a chunk read the key column once
-        (``column_values``) instead of building a key tuple per row, and
-        semi/anti joins narrow the chunk by selection vector — their
-        output stays columnar with zero row materialization.
+        Single-key probes read the key column once (``column_values``)
+        instead of building a key tuple per row, and semi/anti joins
+        narrow the chunk by selection vector — their output stays
+        columnar with zero row materialization.
         """
         table = self._build(ctx)
         lpos = self.left_positions
         pad = (None,) * len(self.right.schema)
         join_type = self.join_type
+        names = self.schema.column_names
         get = table.get
         single = len(lpos) == 1
         lp0 = lpos[0]
         for batch in self.left.batches(ctx):
             ctx.charge_hash(len(batch))
-            is_chunk = isinstance(batch, Chunk)
-            keys = batch.column_values(lp0) if single and is_chunk else None
+            if single:
+                found = [get((k,)) for k in batch.column_values(lp0)]
+            else:
+                found = [get(tuple(row[p] for p in lpos))
+                         for row in batch.to_rows()]
             if join_type in ("semi", "anti"):
-                if keys is not None:
-                    if join_type == "semi":
-                        sel = [i for i, k in enumerate(keys) if get((k,))]
-                    else:
-                        sel = [i for i, k in enumerate(keys) if not get((k,))]
-                    if sel:
-                        kept = batch if len(sel) == len(batch) \
-                            else batch.take(sel)
-                        ctx.charge_emit(len(kept))
-                        yield kept
-                    continue
-                if join_type == "semi":
-                    out = [row for row in batch
-                           if get(tuple(row[p] for p in lpos))]
-                else:
-                    out = [row for row in batch
-                           if not get(tuple(row[p] for p in lpos))]
-                if out:
-                    ctx.charge_emit(len(out))
-                    yield out
+                want = join_type == "semi"
+                sel = [i for i, m in enumerate(found) if bool(m) == want]
+                if sel:
+                    kept = batch if len(sel) == len(batch) \
+                        else batch.take(sel)
+                    ctx.charge_emit(len(kept))
+                    yield kept
                 continue
             out = []
-            if keys is not None:
-                pairs = zip(batch.to_rows(), keys, strict=False)
-                lookups = ((row, get((k,))) for row, k in pairs)
-            else:
-                lookups = ((row, get(tuple(row[p] for p in lpos)))
-                           for row in batch)
-            if join_type == "inner":
-                for row, matches in lookups:
-                    if matches:
-                        out += [row + match for match in matches]
-            else:  # left
-                for row, matches in lookups:
-                    if matches:
-                        out += [row + match for match in matches]
-                    else:
-                        out.append(row + pad)
+            for row, matches in zip(batch.to_rows(), found, strict=False):
+                if matches:
+                    out += [row + match for match in matches]
+                elif join_type == "left":
+                    out.append(row + pad)
             if out:
                 ctx.charge_emit(len(out))
-                yield Chunk.from_rows(self.schema.column_names, out)
+                yield Chunk.from_rows(names, out)
 
     def _build(self, ctx: ExecutionContext) -> dict[tuple, list[Row]]:
         """Materialize the right child into the join hash table."""
@@ -166,12 +118,12 @@ class HashJoin(Operator):
         rp0 = rpos[0]
         for batch in self.right.batches(ctx):
             ctx.charge_hash(len(batch))
-            if single and isinstance(batch, Chunk):
+            if single:
                 for k, row in zip(batch.column_values(rp0),
                                   batch.to_rows(), strict=False):
                     table.setdefault((k,), []).append(row)
             else:
-                for row in batch:
+                for row in batch.to_rows():
                     table.setdefault(
                         tuple(row[p] for p in rpos), []
                     ).append(row)
@@ -200,8 +152,12 @@ class MergeJoin(Operator):
     def name(self) -> str:
         return "MergeJoin"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
+        """Merge the two row streams, flushing output rows per
+        :data:`~repro.exec.iterator.DEFAULT_BATCH_SIZE`."""
         lpos, rpos = self.left_pos, self.right_pos
+        names = self.schema.column_names
+        out: list[Row] = []
         left_iter = self.left.rows(ctx)
         right_iter = self.right.rows(ctx)
         lrow = next(left_iter, None)
@@ -223,8 +179,13 @@ class MergeJoin(Operator):
                 while lrow is not None and lrow[lpos] == lkey:
                     for match in group:
                         ctx.charge_emit()
-                        yield lrow + match
+                        out.append(lrow + match)
+                        if len(out) == DEFAULT_BATCH_SIZE:
+                            yield Chunk.from_rows(names, out)
+                            out = []
                     lrow = next(left_iter, None)
+        if out:
+            yield Chunk.from_rows(names, out)
 
 
 class NestedLoopJoin(Operator):
@@ -243,36 +204,26 @@ class NestedLoopJoin(Operator):
     def name(self) -> str:
         return "NestedLoopJoin"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        inner = list(self.right.rows(ctx))
-        matches = self.predicate.bind(self.schema)
-        for lrow in self.left.rows(ctx):
-            for rrow in inner:
-                ctx.charge_inspect()
-                joined = lrow + rrow
-                if matches(joined):
-                    ctx.charge_emit()
-                    yield joined
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         """Join one left batch against the materialized inner per step.
 
         Pairs are tested left-row-at-a-time so memory stays proportional
         to the *matching* output, never the raw cross product.
         """
-        inner = [row for batch in self.right.batches(ctx) for row in batch]
+        inner = self.right.collect(ctx)
         matches = self.predicate.bind(self.schema)
+        names = self.schema.column_names
         for batch in self.left.batches(ctx):
             ctx.charge_inspect(len(batch) * len(inner))
             out = [
                 joined
-                for lrow in batch
+                for lrow in batch.to_rows()
                 for rrow in inner
                 if matches(joined := lrow + rrow)
             ]
             if out:
                 ctx.charge_emit(len(out))
-                yield out
+                yield Chunk.from_rows(names, out)
 
 
 class IndexNestedLoopJoin(Operator):
@@ -309,41 +260,17 @@ class IndexNestedLoopJoin(Operator):
     def name(self) -> str:
         return f"IndexNestedLoopJoin({self.inner_table.name}, {self.inner_access})"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        matches = self.residual.bind(self.schema)
-        heap = self.inner_table.heap
-        opos = self.outer_pos
-        inner_key_pos = self.inner_table.schema.index_of(self.inner_column)
-        smooth = self.inner_access == "smooth"
-        for orow in self.outer.rows(ctx):
-            key = orow[opos]
-            tids = list(self.index.lookup(ctx, key))
-            if not tids:
-                continue
-            if smooth and len(tids) > 1:
-                yield from self._probe_smooth(
-                    ctx, heap, orow, key, tids, inner_key_pos, matches
-                )
-            else:
-                for tid in tids:
-                    page = ctx.get_page(heap, tid.page_id)
-                    ctx.charge_inspect()
-                    irow = page.get(tid.slot)
-                    joined = orow + irow
-                    if matches(joined):
-                        ctx.charge_emit()
-                        yield joined
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         """Probe the inner index one outer batch at a time."""
         matches = self.residual.bind(self.schema)
+        names = self.schema.column_names
         heap = self.inner_table.heap
         opos = self.outer_pos
         inner_key_pos = self.inner_table.schema.index_of(self.inner_column)
         smooth = self.inner_access == "smooth"
         for batch in self.outer.batches(ctx):
             out: list[Row] = []
-            for orow in batch:
+            for orow in batch.to_rows():
                 key = orow[opos]
                 tids = list(self.index.lookup(ctx, key))
                 if not tids:
@@ -362,7 +289,7 @@ class IndexNestedLoopJoin(Operator):
                             ctx.charge_emit()
                             out.append(joined)
             if out:
-                yield out
+                yield Chunk.from_rows(names, out)
 
     def _probe_smooth(self, ctx: ExecutionContext, heap, orow: Row,
                       key: object, tids, inner_key_pos: int,

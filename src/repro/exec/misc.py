@@ -1,9 +1,8 @@
 """Small plumbing operators: Filter, Project, MapProject, Limit, Materialize.
 
-Each implements both execution protocols: the classic ``rows()`` pipeline
-and a columnar ``batches()`` path that consumes child chunks whole —
-filters narrow by selection vector, projections share column payloads,
-and row-function maps take an optional vectorized column implementation.
+Each consumes child chunks whole: filters narrow by selection vector,
+projections share column payloads, and row-function maps take an
+optional vectorized column implementation.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from repro.context import ExecutionContext
 from repro.errors import PlanningError
 from repro.exec.expressions import Predicate, require_columns
-from repro.exec.iterator import Batch, Chunk, DEFAULT_BATCH_SIZE, Operator
+from repro.exec.iterator import Chunk, DEFAULT_BATCH_SIZE, Operator
 from repro.storage.types import Column, Row, Schema
 
 
@@ -32,26 +31,13 @@ class Filter(Operator):
     def name(self) -> str:
         return f"Filter({self.predicate!r})"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        matches = self.predicate.bind(self.schema)
-        for row in self.child.rows(ctx):
-            ctx.charge_inspect()
-            if matches(row):
-                yield row
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         filter_chunk = self.predicate.bind_chunk(self.schema)
-        filter_rows = self.predicate.bind_filter(self.schema)
         for batch in self.child.batches(ctx):
             ctx.charge_inspect(len(batch))
-            if isinstance(batch, Chunk):
-                kept = filter_chunk(batch)
-                if kept is not None:
-                    yield kept
-            else:
-                kept_rows = filter_rows(batch)
-                if kept_rows:
-                    yield kept_rows
+            kept = filter_chunk(batch)
+            if kept is not None:
+                yield kept
 
 
 class Project(Operator):
@@ -72,19 +58,11 @@ class Project(Operator):
     def name(self) -> str:
         return f"Project({', '.join(self.columns)})"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        positions = self._positions
-        for row in self.child.rows(ctx):
-            yield tuple(row[p] for p in positions)
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         positions = self._positions
         names = self.schema.column_names
         for batch in self.child.batches(ctx):
-            if isinstance(batch, Chunk):
-                yield batch.project(positions, names)
-            else:
-                yield [tuple(row[p] for p in positions) for row in batch]
+            yield batch.project(positions, names)
 
 
 class MapProject(Operator):
@@ -108,30 +86,23 @@ class MapProject(Operator):
     def children(self) -> tuple[Operator, ...]:
         return (self.child,)
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        fn = self.fn
-        for row in self.child.rows(ctx):
-            out = fn(row)
-            self.schema.validate_row(out)
-            yield out
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         fn = self.fn
         vector = self.vector
         names = self.schema.column_names
         validate = self.schema.validate_row
         for batch in self.child.batches(ctx):
-            if vector is not None and isinstance(batch, Chunk):
+            if vector is not None:
                 columns = vector(batch)
                 if columns is not None:
                     # Arity is right by construction: one payload per
                     # output column, all of the chunk's view length.
                     yield Chunk.from_columns(names, columns)
                     continue
-            out = [fn(row) for row in batch]
+            out = [fn(row) for row in batch.to_rows()]
             for row in out:
                 validate(row)
-            yield out
+            yield Chunk.from_rows(names, out)
 
 
 class Rename(Operator):
@@ -152,10 +123,7 @@ class Rename(Operator):
     def name(self) -> str:
         return f"Rename({self.mapping})"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        return self.child.rows(ctx)
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         return self.child.batches(ctx)
 
 
@@ -175,17 +143,7 @@ class Limit(Operator):
     def name(self) -> str:
         return f"Limit({self.n})"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        if self.n == 0:
-            return
-        emitted = 0
-        for row in self.child.rows(ctx):
-            yield row
-            emitted += 1
-            if emitted >= self.n:
-                return
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         remaining = self.n
         if remaining == 0:
             return
@@ -221,13 +179,7 @@ class RowCounter(Operator):
     def name(self) -> str:
         return self.child.name()
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        self.rows_seen = 0
-        for row in self.child.rows(ctx):
-            self.rows_seen += 1
-            yield row
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         self.rows_seen = 0
         for batch in self.child.batches(ctx):
             self.rows_seen += len(batch)
@@ -250,28 +202,20 @@ class Materialize(Operator):
     def children(self) -> tuple[Operator, ...]:
         return (self.child,)
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         if self._cache is None:
+            # Materialize fully before yielding, so a partially drained
+            # first run — e.g. under a Limit — still leaves a complete
+            # cache for re-execution.
             self._cache = [
-                row for batch in self.child.batches(ctx) for row in batch
-            ]
-        else:
-            ctx.charge_emit(len(self._cache))
-        yield from self._cache
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        if self._cache is None:
-            # Materialize fully before yielding (like rows() does) so a
-            # partially drained first run — e.g. under a Limit — still
-            # leaves a complete cache for re-execution.
-            self._cache = [
-                row for batch in self.child.batches(ctx) for row in batch
+                row for batch in self.child.batches(ctx)
+                for row in batch.to_rows()
             ]
         else:
             ctx.charge_emit(len(self._cache))
         if self._chunks is None:
-            # Transpose once per materialization; replays share the
-            # columnar payloads.
+            # Chunk once per materialization; replays share the chunks
+            # and any columns a consumer has built on them.
             names = self.schema.column_names
             cache = self._cache
             self._chunks = [

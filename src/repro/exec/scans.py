@@ -23,7 +23,7 @@ from repro.exec.expressions import (
     TruePredicate,
     require_columns,
 )
-from repro.exec.iterator import Batch, Chunk, Operator
+from repro.exec.iterator import Chunk, DEFAULT_BATCH_SIZE, Operator
 from repro.storage.table import Table
 from repro.storage.types import SLOT_MASK, TID_SHIFT, Row, TID
 
@@ -55,27 +55,13 @@ class FullTableScan(Operator):
     def name(self) -> str:
         return f"FullTableScan({self.table.name})"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        heap = self.table.heap
-        matches = self.predicate.bind(self.schema)
-        extent = ctx.config.extent_pages
-        for start in range(0, heap.num_pages, extent):
-            n = min(extent, heap.num_pages - start)
-            for page in ctx.get_run(heap, start, n):
-                ctx.charge_inspect(len(page))
-                for row in page:
-                    if matches(row):
-                        ctx.charge_emit()
-                        yield row
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         """Columnar scan: one chunk per extent run of heap pages.
 
         The extent's page payloads are concatenated into a single chunk
         and filtered with one mask evaluation, so predicate work runs on
-        extent-sized arrays instead of page-sized ones.  Charges are
-        identical to :meth:`rows` — inspect per page, emit per
-        qualifying batch.
+        extent-sized arrays instead of page-sized ones.  Charges: inspect
+        per page, emit per qualifying tuple (in bulk per batch).
         """
         heap = self.table.heap
         names = self.schema.column_names
@@ -114,10 +100,14 @@ class IndexScan(Operator):
     def name(self) -> str:
         return f"IndexScan({self.table.name}.{self.column})"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
+        """One random heap fetch per TID, rows flushed per
+        :data:`~repro.exec.iterator.DEFAULT_BATCH_SIZE`."""
         heap = self.table.heap
         matches = self.residual.bind(self.schema)
+        names = self.schema.column_names
         rng = self.key_range
+        out: list[Row] = []
         for _key, tid in self.index.scan(
             ctx, lo=rng.lo, hi=rng.hi,
             lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
@@ -127,7 +117,12 @@ class IndexScan(Operator):
             row = page.get(tid.slot)
             if matches(row):
                 ctx.charge_emit()
-                yield row
+                out.append(row)
+                if len(out) == DEFAULT_BATCH_SIZE:
+                    yield Chunk.from_rows(names, out)
+                    out = []
+        if out:
+            yield Chunk.from_rows(names, out)
 
 
 class SortScan(Operator):
@@ -154,47 +149,15 @@ class SortScan(Operator):
     def name(self) -> str:
         return f"SortScan({self.table.name}.{self.column})"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        heap = self.table.heap
-        matches = self.residual.bind(self.schema)
-        rng = self.key_range
-
-        # Phase 1: collect qualifying TIDs from the index, then pre-sort
-        # them by heap placement (page, slot).
-        tids: list[TID] = [
-            tid for _key, tid in self.index.scan(
-                ctx, lo=rng.lo, hi=rng.hi,
-                lo_inclusive=rng.lo_inclusive, hi_inclusive=rng.hi_inclusive,
-            )
-        ]
-        if not tids:
-            return
-        tids.sort()
-        ctx.charge_compare(_nlogn(len(tids)))
-
-        # Phase 2: walk pages in ascending order, fetching each once.
-        # Contiguous page spans are fetched as runs (read-ahead batching).
-        pages: dict[int, list[int]] = {}
-        for tid in tids:
-            pages.setdefault(tid.page_id, []).append(tid.slot)
-        page_ids = sorted(pages)
-        for run_start, run_len in _contiguous_runs(page_ids):
-            fetched = ctx.get_run(heap, run_start, run_len)
-            for page in fetched:
-                for slot in pages[page.page_id]:
-                    ctx.charge_inspect()
-                    row = page.get(slot)
-                    if matches(row):
-                        ctx.charge_emit()
-                        yield row
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         """Columnar bitmap heap scan: one chunk per near-sequential run.
 
         Phase 1 pulls the range as *packed TID codes* (one int64 per
         entry) so collecting, sorting and page-grouping the bitmap are
         all array operations; the code order equals TID tuple order, so
-        emission order — and every charge — matches :meth:`rows`.
+        rows come out in TID order.  Phase 2 fetches each page holding
+        candidates once, contiguous page spans as one run (read-ahead
+        batching), charging an inspection per candidate slot.
         """
         codes = self.index.scan_codes(
             ctx, lo=self.key_range.lo, hi=self.key_range.hi,
@@ -229,7 +192,7 @@ class SortScan(Operator):
             if total < run_len * _SPARSE_SLOTS_PER_PAGE:
                 # Sparse run (few slots per page): gathering whole-page
                 # columns to select a handful of rows costs more than
-                # fetching the rows directly.  Same charges, row batch.
+                # fetching the rows directly.  Same charges.
                 out: list[Row] = []
                 for page in ctx.get_run(heap, run_start, run_len):
                     lo, hi = spans[page.page_id]
@@ -241,7 +204,7 @@ class SortScan(Operator):
                             out.append(row)
                 if out:
                     ctx.charge_emit(len(out))
-                    yield out
+                    yield Chunk.from_rows(names, out)
                 continue
             parts: list[Chunk] = []
             for page in ctx.get_run(heap, run_start, run_len):
@@ -258,7 +221,7 @@ class SortScan(Operator):
                 ctx.charge_emit(len(batch))
                 yield batch
 
-    def _batches_from_tids(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def _batches_from_tids(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         """Batch path without numpy: per-leaf TID lists, Python sort."""
         heap = self.table.heap
         names = self.schema.column_names

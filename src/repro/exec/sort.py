@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 from repro.context import ExecutionContext
 from repro.errors import PlanningError
-from repro.exec.iterator import Batch, Chunk, DEFAULT_BATCH_SIZE, Operator
+from repro.exec.iterator import Chunk, DEFAULT_BATCH_SIZE, Operator
 from repro.storage.types import Row
 
 try:  # pragma: no cover - exercised implicitly when numpy is present
@@ -48,27 +48,25 @@ class Sort(Operator):
         )
         return f"Sort({order})"
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        yield from self._sorted(ctx, list(self.child.rows(ctx)))
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+    def batches(self, ctx: ExecutionContext) -> Iterator[Chunk]:
         batches = list(self.child.batches(ctx))
-        if batches and all(isinstance(b, Chunk) for b in batches):
-            merged = Chunk.concat(batches)
-            perm = self._columnar_perm(merged)
-            if perm is not None:
-                n = len(merged)
-                if n > 1:
-                    ctx.charge_compare(n * max(1, (n - 1).bit_length()))
-                    self._charge_spill(ctx, n)
-                    merged = merged.take(perm)
-                for start in range(0, n, DEFAULT_BATCH_SIZE):
-                    yield merged[start:start + DEFAULT_BATCH_SIZE]
-                return
-        data = [row for batch in batches for row in batch]
-        data = self._sorted(ctx, data)
+        if not batches:
+            return
+        merged = Chunk.concat(batches)
+        perm = self._columnar_perm(merged)
+        if perm is not None:
+            n = len(merged)
+            if n > 1:
+                ctx.charge_compare(n * max(1, (n - 1).bit_length()))
+                self._charge_spill(ctx, n)
+                merged = merged.take(perm)
+            for start in range(0, n, DEFAULT_BATCH_SIZE):
+                yield merged[start:start + DEFAULT_BATCH_SIZE]
+            return
+        data = self._sorted(ctx, list(merged.to_rows()))
+        names = self.schema.column_names
         for start in range(0, len(data), DEFAULT_BATCH_SIZE):
-            yield data[start:start + DEFAULT_BATCH_SIZE]
+            yield Chunk.from_rows(names, data[start:start + DEFAULT_BATCH_SIZE])
 
     def _columnar_perm(self, chunk: Chunk):
         """Stable multi-key sort permutation via successive argsorts.

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.database import Database
-from repro.exec.iterator import Batch, Chunk, Operator
+from repro.exec.iterator import Chunk, Operator
 from repro.runtime import CostLedger
 from repro.storage.disk import DiskStats
 from repro.storage.types import Row
@@ -80,13 +80,11 @@ def measure(db: Database, plan: Operator, cold: bool = True,
     first.  With ``keep_rows=False`` output rows are counted but discarded,
     for large sweeps where materialization would dominate Python time.
 
-    Execution drains the plan's batch protocol — operators with a native
-    ``batches()`` run vectorized, the rest through the row-compat shim.
-    Per-tuple simulated charges are identical either way; in plans with
-    several I/O-bearing operators, batch draining also clusters each
-    subtree's page accesses, which the simulated disk head and buffer
-    LRU reward with better locality (as real hardware would) — measured
-    baselines therefore reflect batch-execution I/O patterns.
+    Execution drains the plan's ``batches()``.  In plans with several
+    I/O-bearing operators, batch draining clusters each subtree's page
+    accesses, which the simulated disk head and buffer LRU reward with
+    better locality (as real hardware would) — measured baselines
+    therefore reflect batch-execution I/O patterns.
     """
     # One bookkeeping implementation: a StreamingRun drained in place.
     # Ledger attribution lives only there, so one-shot and streaming
@@ -97,7 +95,7 @@ def measure(db: Database, plan: Operator, cold: bool = True,
     while batch is not None:
         if keep_rows:
             # Rowify at the boundary: internal batches stay columnar.
-            rows += batch.to_rows() if isinstance(batch, Chunk) else batch
+            rows += batch.to_rows()
         batch = run.next_batch()
     return run.result(rows if keep_rows else None)
 
@@ -158,9 +156,8 @@ class StreamingRun:
                 error=error,
             )
 
-    def next_batch(self) -> Batch | None:
-        """The next non-empty batch (a :class:`Chunk` or row list), or
-        ``None`` once the plan is done."""
+    def next_batch(self) -> Chunk | None:
+        """The next non-empty batch, or ``None`` once the plan is done."""
         if self.closed or self.exhausted:
             return None
         tracer = self._runtime.tracer

@@ -1,36 +1,29 @@
-"""Row vs. batch execution throughput on the Figure-5 selectivity sweep.
+"""Batch execution cost and throughput on the Figure-5 selectivity sweep.
 
-The reproduction's perf guardrail for the batch-vectorized engine: run the
-fig5 micro-benchmark plans (Full, Sort and Smooth Scan, with and without
-the 100% point) and drain each twice — once through the tuple-at-a-time
-``rows()`` pipeline, once through the vectorized ``batches()`` protocol —
-measuring *real* wall-clock time.  Simulated costs are identical by
-construction (the batch engine charges exactly what the row engine does);
-what this experiment records is the Python-side overhead the paper's
-Section IV attributes to per-tuple bookkeeping, which batching amortizes
-over whole pages and morphing-region runs.
+Runs the fig5 micro-benchmark plans (Full, Sort and Smooth Scan, with and
+without the 100% point) and drains each one cold through ``batches()``,
+recording the simulated io/cpu cost and the *real* wall-clock time of the
+drain.  :meth:`BatchBenchResult.report` is the deterministic half — the
+committed ``bench_results/batch_throughput.txt`` artifact, which only
+changes when the engine's simulated behavior changes, never from runner
+noise.  The wall-clock times feed the batch-throughput guardrail
+(``benchmarks/test_batch_throughput.py``), which compares them against a
+tuple-at-a-time reference drain of the same plans and tees its table to
+the uncommitted ``bench_results/batch_throughput_wallclock.txt`` sidecar.
 
-Two reports come out of one sweep:
-
-* :meth:`BatchBenchResult.report` — the *deterministic* half: per-plan
-  simulated io/cpu seconds (identical on both protocols by the batch
-  contract, asserted here).  This is the committed
-  ``bench_results/batch_throughput.txt`` artifact — it only changes when
-  the engine's simulated behavior changes, never from runner noise.
-* :meth:`BatchBenchResult.wallclock_report` — the wall-clock half:
-  row/batch seconds, ktuples/s and speedups.  Inherently noisy, so it is
-  teed to an *uncommitted* sidecar
-  (``bench_results/batch_throughput_wallclock.txt``, gitignored) and
-  asserted only with generous slack.
+This module is the engine's wall-clock sidecar: :func:`timed_drain` is
+the one place that reads the wall clock around a drain.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.bench.reporting import format_table
+from repro.context import ExecutionContext
+from repro.database import Database
 from repro.experiments.common import (
     DEFAULT_MICRO_TUPLES,
     MicroSetup,
@@ -42,36 +35,28 @@ from repro.experiments.common import (
 #: spanning the index-friendly low end through the full-scan high end.
 DEFAULT_GRID_PCT = (0.1, 1.0, 20.0, 100.0)
 
-#: Access paths compared (the fig5 paths whose engine work dominates;
-#: the classical index scan is one random fetch per tuple on both paths).
+#: Access paths measured (the fig5 paths whose engine work dominates;
+#: the classical index scan is one random fetch per tuple).
 DEFAULT_PATHS = ("full", "sort", "smooth")
 
 
 @dataclass
 class BatchBenchResult:
-    """Row vs. batch execution per plan: simulated cost + wall clock."""
+    """Per-plan batch execution: simulated cost + wall clock."""
 
     labels: list[str] = field(default_factory=list)
+    #: ``(access path, selectivity fraction)`` per plan, for re-building
+    #: the same plan elsewhere (e.g. a reference drain).
+    plans: list[tuple[str, float]] = field(default_factory=list)
     tuples: list[int] = field(default_factory=list)
-    row_seconds: list[float] = field(default_factory=list)
     batch_seconds: list[float] = field(default_factory=list)
-    #: Simulated (deterministic) io/cpu milliseconds per plan, measured
-    #: on the batch drain and verified equal on the row drain.
+    #: Simulated (deterministic) io/cpu milliseconds per plan.
     sim_io_ms: list[float] = field(default_factory=list)
     sim_cpu_ms: list[float] = field(default_factory=list)
 
     @property
     def total_tuples(self) -> int:
         return sum(self.tuples)
-
-    @property
-    def overall_speedup(self) -> float:
-        """Total-tuples-over-total-time ratio of the two paths."""
-        row_total = sum(self.row_seconds)
-        batch_total = sum(self.batch_seconds)
-        if batch_total <= 0:
-            return float("inf")
-        return row_total / batch_total
 
     def report(self) -> str:
         """The deterministic table: simulated cost per plan."""
@@ -95,56 +80,14 @@ class BatchBenchResult:
                    "batch_throughput_wallclock.txt sidecar)"),
         )
 
-    def wallclock_report(self) -> str:
-        """The noisy table: wall-clock throughput of both protocols."""
-        headers = ["plan", "tuples", "row_s", "batch_s",
-                   "row_ktps", "batch_ktps", "speedup"]
-        table = []
-        for i, label in enumerate(self.labels):
-            row_s, batch_s = self.row_seconds[i], self.batch_seconds[i]
-            n = self.tuples[i]
-            table.append([
-                label, n, row_s, batch_s,
-                n / row_s / 1e3 if row_s > 0 else None,
-                n / batch_s / 1e3 if batch_s > 0 else None,
-                row_s / batch_s if batch_s > 0 else None,
-            ])
-        row_total, batch_total = sum(self.row_seconds), sum(self.batch_seconds)
-        n = self.total_tuples
-        table.append([
-            "OVERALL", n, row_total, batch_total,
-            n / row_total / 1e3 if row_total > 0 else None,
-            n / batch_total / 1e3 if batch_total > 0 else None,
-            self.overall_speedup,
-        ])
-        return format_table(
-            headers, table,
-            title=("Batch vs. row execution — wall-clock throughput, "
-                   "fig5 selectivity sweep"),
-        )
 
-
-def _drain_rows(db, plan) -> tuple[int, float, float, float]:
-    """Cold-run tuple-at-a-time: (tuples, wall_s, sim_io_ms, sim_cpu_ms)."""
+def timed_drain(db: Database, drain: Callable[[ExecutionContext], int]
+                ) -> tuple[int, float, float, float]:
+    """Cold-run ``drain(ctx) -> tuples``: (tuples, wall_s, io_ms, cpu_ms)."""
     ctx = db.cold_run()
     io0, cpu0 = db.clock.snapshot()
     start = time.perf_counter()
-    count = 0
-    for _row in plan.rows(ctx):
-        count += 1
-    wall = time.perf_counter() - start
-    io1, cpu1 = db.clock.snapshot()
-    return count, wall, io1 - io0, cpu1 - cpu0
-
-
-def _drain_batches(db, plan) -> tuple[int, float, float, float]:
-    """Cold-run batch-at-a-time: (tuples, wall_s, sim_io_ms, sim_cpu_ms)."""
-    ctx = db.cold_run()
-    io0, cpu0 = db.clock.snapshot()
-    start = time.perf_counter()
-    count = 0
-    for batch in plan.batches(ctx):
-        count += len(batch)
+    count = drain(ctx)
     wall = time.perf_counter() - start
     io1, cpu1 = db.clock.snapshot()
     return count, wall, io1 - io0, cpu1 - cpu0
@@ -155,47 +98,30 @@ def run_batch_bench(num_tuples: int = DEFAULT_MICRO_TUPLES,
                     paths: tuple = DEFAULT_PATHS,
                     setup: MicroSetup | None = None,
                     repeats: int = 2) -> BatchBenchResult:
-    """Measure row vs. batch wall-clock throughput over the fig5 plans.
+    """Drain every (path, selectivity) fig5 plan through ``batches()``.
 
-    Each (path, selectivity) plan is drained ``repeats`` times per
-    protocol and the best time is kept, damping scheduler noise.
+    Each plan is drained ``repeats`` times and the best wall-clock time
+    is kept, damping scheduler noise; simulated costs repeat exactly.
     """
     setup = setup or make_micro_db(num_tuples)
     result = BatchBenchResult()
     for sel_pct in selectivities_pct:
         sel = sel_pct / 100.0
         for path in paths:
-            row_best = batch_best = float("inf")
-            rows_n = batch_n = 0
-            row_io = row_cpu = batch_io = batch_cpu = 0.0
+            best = float("inf")
+            count = 0
+            io_ms = cpu_ms = 0.0
             for _ in range(max(1, repeats)):
                 plan = access_path_plan(path, setup.table, sel)
-                rows_n, secs, row_io, row_cpu = _drain_rows(setup.db, plan)
-                row_best = min(row_best, secs)
-                plan = access_path_plan(path, setup.table, sel)
-                batch_n, secs, batch_io, batch_cpu = _drain_batches(
-                    setup.db, plan
+                count, secs, io_ms, cpu_ms = timed_drain(
+                    setup.db,
+                    lambda ctx, plan=plan: sum(map(len, plan.batches(ctx))),
                 )
-                batch_best = min(batch_best, secs)
-            if rows_n != batch_n:
-                raise AssertionError(
-                    f"row/batch row-count mismatch for {path}@{sel_pct}%: "
-                    f"{rows_n} vs {batch_n}"
-                )
-            # The batch contract: identical simulated charges per plan.
-            if not (math.isclose(row_io, batch_io, rel_tol=1e-9,
-                                 abs_tol=1e-6)
-                    and math.isclose(row_cpu, batch_cpu, rel_tol=1e-9,
-                                     abs_tol=1e-6)):
-                raise AssertionError(
-                    "row/batch simulated-cost mismatch for "
-                    f"{path}@{sel_pct}%: io {row_io} vs {batch_io}, "
-                    f"cpu {row_cpu} vs {batch_cpu}"
-                )
+                best = min(best, secs)
             result.labels.append(f"{path}@{sel_pct:g}%")
-            result.tuples.append(rows_n)
-            result.row_seconds.append(row_best)
-            result.batch_seconds.append(batch_best)
-            result.sim_io_ms.append(batch_io)
-            result.sim_cpu_ms.append(batch_cpu)
+            result.plans.append((path, sel))
+            result.tuples.append(count)
+            result.batch_seconds.append(best)
+            result.sim_io_ms.append(io_ms)
+            result.sim_cpu_ms.append(cpu_ms)
     return result

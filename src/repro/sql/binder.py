@@ -183,6 +183,10 @@ class BoundStatement:
     #: are checked when values arrive (the literal twin is rejected at
     #: bind time by _check_agg_input).
     numeric_params: frozenset[int] = frozenset()
+    #: ``(slot, column, type)`` for every parameter a predicate compares
+    #: with a column: checked when values arrive, like literals are at
+    #: bind time, so a mistyped value never reaches an index probe.
+    typed_params: tuple[tuple[int, str, ColumnType], ...] = ()
 
     @property
     def param_count(self) -> int:
@@ -200,17 +204,26 @@ class BoundStatement:
         values = resolve_params(self.param_names, params)
         for i in sorted(self.numeric_params):
             value = values[i]
-            if isinstance(value, bool) \
-                    or not isinstance(value, (int, float)):
-                name = self.param_names[i]
-                label = f":{name}" if name else f"parameter {i + 1}"
+            if not _fits(value, ColumnType.FLOAT):
                 raise SqlError(
-                    f"{label} is an argument of sum()/avg() and must "
-                    f"be numeric, got {value!r}"
+                    f"{self._param_label(i)} is an argument of "
+                    f"sum()/avg() and must be numeric, got {value!r}"
+                )
+        for i, column, ctype in self.typed_params:
+            value = values[i]
+            if not _fits(value, ctype):
+                raise SqlError(
+                    f"{self._param_label(i)} is compared with "
+                    f"{ctype.value} column {column!r} and must be "
+                    f"{_kind(ctype)}, got {value!r}"
                 )
         if self.param_box is not None:
             self.param_box.values = values
         return substitute_spec(self.spec, values)
+
+    def _param_label(self, i: int) -> str:
+        name = self.param_names[i]
+        return f":{name}" if name else f"parameter {i + 1}"
 
     def planner_options(
             self, base: PlannerOptions | None = None) -> PlannerOptions | None:
@@ -248,6 +261,7 @@ class Binder:
         # statement being bound; bind_params() fills it per execution.
         self._box = ParamBox()
         self._numeric_params: set[int] = set()
+        self._typed_params: set[tuple[int, str, ColumnType]] = set()
 
     # -- error helpers ------------------------------------------------------
 
@@ -340,6 +354,8 @@ class Binder:
             param_names=tuple(p.name for p in select.params),
             param_box=self._box,
             numeric_params=frozenset(self._numeric_params),
+            typed_params=tuple(sorted(self._typed_params,
+                                      key=lambda t: (t[0], t[1]))),
         )
 
     # -- tables and joins -----------------------------------------------------
@@ -603,13 +619,15 @@ class Binder:
             return self._lower_compare(expr, scope)
         if isinstance(expr, ast.BetweenExpr):
             column = self._operand_column(expr.operand, scope)
-            lo = self._literal(expr.lo)
-            hi = self._literal(expr.hi)
+            lo = self._compared_value(expr.lo, column, scope)
+            hi = self._compared_value(expr.hi, column, scope)
             between = Between(column, lo, hi,
                               lo_inclusive=True, hi_inclusive=True)
             return Not(between) if expr.negated else between
         if isinstance(expr, ast.InExpr):
             column = self._operand_column(expr.operand, scope)
+            # Membership never orders values, so mixed-type lists stay
+            # legal (the planner keeps unorderable ones off index paths).
             in_list = InList(column, tuple(
                 ParamMarker(v.index, v.name)
                 if isinstance(v, ast.ParamRef) else v
@@ -630,11 +648,13 @@ class Binder:
             return ColumnComparison(self._resolve(left, scope), op,
                                     self._resolve(right, scope))
         if isinstance(left, ast.ColumnRef) and isinstance(right, constant):
-            return Comparison(self._resolve(left, scope), op,
-                              self._constant_of(right))
+            column = self._resolve(left, scope)
+            return Comparison(column, op,
+                              self._compared_value(right, column, scope))
         if isinstance(left, constant) and isinstance(right, ast.ColumnRef):
-            return Comparison(self._resolve(right, scope), _FLIPPED[op],
-                              self._constant_of(left))
+            column = self._resolve(right, scope)
+            return Comparison(column, _FLIPPED[op],
+                              self._compared_value(left, column, scope))
         if isinstance(left, constant) and isinstance(right, constant):
             raise self._error(
                 "comparison of two literals is not supported", expr
@@ -687,17 +707,24 @@ class Binder:
             )
         return self._resolve(operand, scope)
 
-    def _literal(self, expr: ast.Expr) -> object:
-        if isinstance(expr, ast.Literal):
-            return expr.value
+    def _compared_value(self, expr: ast.Expr, column: str,
+                        scope: list[tuple[str, Schema]]) -> object:
+        """The predicate-side value of a literal or parameter ordered
+        against ``column`` (a comparison or BETWEEN bound), checked
+        against the column's type: a mismatch would otherwise surface
+        as a raw TypeError inside an index probe or a filter."""
+        ctype = next(schema.columns[schema.index_of(column)].ctype
+                     for _name, schema in scope if schema.has_column(column))
         if isinstance(expr, ast.ParamRef):
+            self._typed_params.add((expr.index, column, ctype))
             return ParamMarker(expr.index, expr.name)
-        raise self._error("expected a literal value or parameter", expr)
-
-    def _constant_of(self, expr: "ast.Literal | ast.ParamRef") -> object:
-        """The predicate-side value of a literal or parameter node."""
-        if isinstance(expr, ast.ParamRef):
-            return ParamMarker(expr.index, expr.name)
+        if not isinstance(expr, ast.Literal):
+            raise self._error("expected a literal value or parameter", expr)
+        if not _fits(expr.value, ctype):
+            raise self._error(
+                f"{ctype.value} column {column!r} cannot be compared with "
+                f"{expr.value!r}; the value must be {_kind(ctype)}", expr,
+            )
         return expr.value
 
     # -- select list ----------------------------------------------------------
@@ -1087,6 +1114,17 @@ class Binder:
 
 
 # -- module helpers ----------------------------------------------------------
+
+def _fits(value: object, ctype: ColumnType) -> bool:
+    """True when ``value`` compares with a ``ctype`` column."""
+    if ctype is ColumnType.CHAR:
+        return isinstance(value, str)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _kind(ctype: ColumnType) -> str:
+    return "a string" if ctype is ColumnType.CHAR else "numeric"
+
 
 def _flatten_and(expr: ast.BoolExpr) -> list[ast.BoolExpr]:
     if isinstance(expr, ast.AndExpr):

@@ -17,11 +17,18 @@ rows, including ``None`` values and CHAR strings of any width.  Row
 materialization converts array scalars back to built-in Python values
 (``tolist``), so consumers never observe NumPy scalar types.
 
+A chunk built from rows keeps them and transposes lazily: the typed
+columns are built the first time a column is read (``columns``,
+:meth:`Chunk.data_column`, :meth:`Chunk.project`), so row-producing
+operators wrap their output for free and a consumer that only rowifies
+never pays for a transpose.  Slicing and :meth:`Chunk.take` on such a
+chunk select rows and stay lazy.
+
 NumPy is optional: without it every column is an object column and the
 vectorized mask helpers degrade to list comprehensions.  Simulated costs
 never flow through this module — a chunk is pure representation, which
-is what keeps the columnar engine cost-bitwise-identical to the row
-engine.
+is what keeps the columnar engine's charges on the paper's per-tuple
+cost model.
 """
 
 from __future__ import annotations
@@ -78,12 +85,12 @@ class Chunk:
     :meth:`take`, :meth:`project` and slicing share the backing arrays.
     """
 
-    __slots__ = ("names", "columns", "sel", "_length", "_rows", "_compact")
+    __slots__ = ("names", "_columns", "sel", "_length", "_rows", "_compact")
 
     def __init__(self, names: Sequence[str], columns: Sequence[ColumnData],
                  sel=None):
         self.names = tuple(names)
-        self.columns = list(columns)
+        self._columns: list[ColumnData] | None = list(columns)
         self.sel = sel
         if sel is not None:
             self._length = len(sel)
@@ -98,15 +105,16 @@ class Chunk:
     @classmethod
     def from_rows(cls, names: "Sequence[str] | Schema",
                   rows: Sequence[Row]) -> "Chunk":
-        """Build a chunk from rows; columns are typed where exact."""
+        """Wrap rows as a chunk; typed columns are built on first read."""
         if isinstance(names, Schema):
             names = names.column_names
-        rows = rows if isinstance(rows, list) else list(rows)
-        if not rows:
-            return cls(names, [[] for _ in names])
-        transposed = list(zip(*rows, strict=False))
-        chunk = cls(names, [_typed_column(col) for col in transposed])
-        chunk._rows = rows  # already materialized; reuse on to_rows()
+        chunk = cls.__new__(cls)
+        chunk.names = tuple(names)
+        chunk._columns = None  # transposed on first column read
+        chunk.sel = None
+        chunk._rows = rows if isinstance(rows, list) else list(rows)
+        chunk._length = len(chunk._rows)
+        chunk._compact = {}
         return chunk
 
     @classmethod
@@ -115,6 +123,25 @@ class Chunk:
         """Wrap pre-built column payloads (no copying, no type sniffing)."""
         return cls(names, columns)
 
+    @property
+    def columns(self) -> list[ColumnData]:
+        """Per-column payloads over the physical rows (built on demand)."""
+        cols = self._columns
+        if cols is None:
+            cols = [self.data_column(i) for i in range(len(self.names))]
+            self._columns = cols
+        return cols
+
+    def columnar(self) -> "Chunk":
+        """This chunk with every column built; returns ``self``.
+
+        For chunks that are cached and read column-wise many times (a
+        heap page's payload): their :meth:`take` and slices then share
+        the built columns instead of re-gathering rows.
+        """
+        self.columns
+        return self
+
     @staticmethod
     def concat(chunks: "Sequence[Chunk]") -> "Chunk":
         """Concatenate chunks (same layout) into one compacted chunk."""
@@ -122,7 +149,7 @@ class Chunk:
             return chunks[0]
         first = chunks[0]
         columns: list[ColumnData] = []
-        for i in range(len(first.columns)):
+        for i in range(len(first.names)):
             parts = [c.data_column(i) for c in chunks]
             if all(_is_array(p) for p in parts):
                 columns.append(_np.concatenate(parts))
@@ -143,6 +170,8 @@ class Chunk:
 
     def __getitem__(self, item):
         if isinstance(item, slice):
+            if self._columns is None:
+                return Chunk.from_rows(self.names, self._rows[item])
             sel = self.sel
             if sel is None:
                 start, stop, step = item.indices(self._length)
@@ -172,7 +201,14 @@ class Chunk:
 
     def data_column(self, i: int) -> ColumnData:
         """Column ``i`` of the logical view (selection applied), cached."""
-        col = self.columns[i]
+        if self._columns is None:
+            # Row-built chunk: build just this column.
+            cached = self._compact.get(i)
+            if cached is None:
+                cached = _typed_column([row[i] for row in self._rows])
+                self._compact[i] = cached
+            return cached
+        col = self._columns[i]
         sel = self.sel
         if sel is None:
             return col
@@ -193,6 +229,8 @@ class Chunk:
 
     def column_values(self, i: int) -> list:
         """Column ``i`` of the logical view as a plain Python list."""
+        if self._columns is None and i not in self._compact:
+            return [row[i] for row in self._rows]
         col = self.data_column(i)
         return col.tolist() if _is_array(col) else col
 
@@ -200,6 +238,9 @@ class Chunk:
 
     def take(self, indices) -> "Chunk":
         """A chunk narrowed to ``indices`` (positions in the logical view)."""
+        if self._columns is None:
+            rows = self._rows
+            return Chunk.from_rows(self.names, [rows[j] for j in indices])
         sel = self.sel
         if sel is None:
             new_sel = indices
@@ -227,6 +268,8 @@ class Chunk:
     def project(self, positions: Sequence[int],
                 names: Sequence[str]) -> "Chunk":
         """A chunk of the given columns, sharing payloads and selection."""
+        if self._columns is None:
+            return Chunk(names, [self.data_column(p) for p in positions])
         chunk = Chunk(names, [self.columns[p] for p in positions],
                       sel=self.sel)
         for out_i, p in enumerate(positions):

@@ -90,6 +90,6 @@ class HeapPage:
         """
         chunk = self._chunk
         if chunk is None or chunk.names != names:
-            chunk = Chunk.from_rows(names, self._rows)
+            chunk = Chunk.from_rows(names, self._rows).columnar()
             self._chunk = chunk
         return chunk

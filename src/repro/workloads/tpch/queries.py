@@ -718,8 +718,9 @@ FLUENT_QUERIES = {"Q1": fluent_q1, "Q6": fluent_q6, "Q14": fluent_q14}
 # SQL definitions
 # ---------------------------------------------------------------------------
 #
-# The same queries as SQL text, entering through ``Database.sql`` — the
-# lexer → parser → binder pipeline.  Binding lowers each onto a QuerySpec
+# The same queries as SQL text, entering through a ``Connection`` (or
+# ``repro.sql.compile_statement``) — the lexer → parser → binder
+# pipeline.  Binding lowers each onto a QuerySpec
 # whose physical plan is measurement-identical to the FLUENT_QUERIES
 # counterpart under every mode (asserted by tests/test_sql_tpch.py):
 # bound ranges merge into the same Between predicates, aggregate

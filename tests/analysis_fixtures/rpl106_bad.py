@@ -1,12 +1,13 @@
-"""RPL106 golden-bad fixture: an Operator without the batch protocol."""
+"""RPL106 golden-bad fixture: Operators off the single batch protocol."""
 
 
 class Operator:
-    def rows(self, ctx):
-        raise NotImplementedError
-
     def batches(self, ctx):
         raise NotImplementedError
+
+    def rows(self, ctx):
+        for batch in self.batches(ctx):
+            yield from batch
 
 
 class Silent(Operator):
@@ -15,3 +16,11 @@ class Silent(Operator):
 
 class SilentChild(Silent):
     pass
+
+
+class RowPath(Operator):
+    def batches(self, ctx):
+        yield []
+
+    def rows(self, ctx):
+        yield ()

@@ -4,11 +4,12 @@ import abc
 
 
 class Operator:
-    def rows(self, ctx):
-        raise NotImplementedError
-
     def batches(self, ctx):
         raise NotImplementedError
+
+    def rows(self, ctx):
+        for batch in self.batches(ctx):
+            yield from batch
 
 
 class Scan(Operator):

@@ -123,10 +123,12 @@ def test_rpl105_quiet_on_integer_arithmetic():
 
 def test_rpl106_flags_protocol_less_operators_transitively():
     result = lint("rpl106_bad.py", select={"RPL106"})
-    assert codes(result) == ["RPL106"] * 2
-    names = " ".join(d.message for d in result.diagnostics)
-    assert "Silent" in names
-    assert "SilentChild" in names
+    assert codes(result) == ["RPL106"] * 3
+    messages = [d.message for d in result.diagnostics]
+    assert any("Silent does not implement batches()" in m for m in messages)
+    assert any("SilentChild does not implement batches()" in m
+               for m in messages)
+    assert any("RowPath overrides rows()" in m for m in messages)
 
 
 def test_rpl106_accepts_inherited_protocol_and_abstract_bases():

@@ -1,12 +1,32 @@
-"""The batch execution protocol: shims, vectorized predicates, and
-row/batch equivalence across the whole operator zoo.
+"""The batch execution protocol, pinned by a golden capture.
 
-The contract under test: for every operator, concatenating ``batches()``
-must equal ``rows()`` — same rows, same order — and both paths must charge
-the same simulated costs.  SmoothScan gets the full configuration grid
-(policy × trigger × ordered), including the morph-boundary interplay of
-the Tuple ID cache and Result Cache under non-eager triggers.
+``batches()`` over :class:`~repro.storage.chunk.Chunk` is the engine's
+only execution protocol.  ``tests/golden/batch_charges.json`` holds, for
+every point of :data:`GRID` (SmoothScan policy × trigger × ordered, the
+scans, a pipeline, limits, joins, an aggregate, a Materialize replay and
+the morphing join), a digest of the ordered output rows, the simulated
+``io_ms``/``cpu_ms``, the integer disk and buffer counters and, for
+Smooth Scans, the operator's internal statistics.  It was captured on
+commit e9d1bfa from the tuple-at-a-time ``rows()`` path that engine still
+had, with row == batch asserted for every point while capturing (rows
+only at the Limit points, whose charges were never tied).  The batch
+path must reproduce it: floats to 1e-9 relative, everything else exactly.
+
+The capture command is ``PYTHONPATH=src python tests/test_batch_exec.py
+--capture``.  On a single-protocol tree it re-derives the file from
+``batches()``, so only run it for an intended cost-model change.  The
+plain-Python oracle properties for the same operators live in
+``tests/test_exec_oracles.py``.
 """
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +43,7 @@ from repro.core.trigger import (
     OptimizerDrivenTrigger,
     SLADrivenTrigger,
 )
+from repro.database import Database
 from repro.exec.aggregates import AggSpec, HashAggregate
 from repro.exec.expressions import (
     And,
@@ -38,14 +59,21 @@ from repro.exec.expressions import (
     range_filter,
     range_selector,
 )
-from repro.exec.iterator import DEFAULT_BATCH_SIZE, Operator
+from repro.exec.iterator import Operator
 from repro.exec.joins import HashJoin, MergeJoin, NestedLoopJoin
-from repro.exec.misc import Filter, Limit, Materialize, Project
+from repro.exec.misc import Filter, Limit, Materialize, Project, Rename
 from repro.exec.scans import FullTableScan, IndexScan, SortScan
 from repro.exec.sort import Sort
+from repro.storage.chunk import Chunk
 from repro.storage.types import Schema
 
-ALL_POLICIES = [GreedyPolicy(), SelectivityIncreasePolicy(), ElasticPolicy()]
+GOLDEN = Path(__file__).resolve().parent / "golden" / "batch_charges.json"
+
+POLICIES = {
+    "greedy": GreedyPolicy,
+    "si": SelectivityIncreasePolicy,
+    "elastic": ElasticPolicy,
+}
 TRIGGERS = {
     "eager": EagerTrigger,
     "optimizer": lambda: OptimizerDrivenTrigger(10),
@@ -53,38 +81,225 @@ TRIGGERS = {
 }
 
 
-def drain_rows(db, plan):
+def build_small_table() -> tuple[Database, object]:
+    """The grid's table: 5,000 rows of (id, key 0-999, 0-9), c2 indexed.
+
+    The same data as conftest's ``small_table``, built here so the
+    standalone capture needs no pytest and a fixture edit cannot move
+    the golden.
+    """
+    db = Database()
+    rng = random.Random(123)
+    rows = [
+        (i, rng.randrange(0, 1000), rng.randrange(0, 10))
+        for i in range(5_000)
+    ]
+    table = db.load_table("t", Schema.of_ints(["c1", "c2", "c3"]), rows)
+    db.create_index("t", "c2")
+    return db, table
+
+
+# -- the golden grid --------------------------------------------------------
+
+
+def _smooth_point(policy: str, trigger: str, ordered: bool):
+    def build(table):
+        return SmoothScan(
+            table, "c2", KeyRange(0, 400), residual=Between("c3", 0, 5),
+            policy=POLICIES[policy](), trigger=TRIGGERS[trigger](),
+            ordered=ordered,
+        )
+    return build
+
+
+def _hash_join(join_type: str):
+    def build(table):
+        left = Project(FullTableScan(table, Between("c2", 0, 90)),
+                       ["c1", "c2"])
+        right = Rename(
+            Project(FullTableScan(table, Between("c2", 0, 60)), ["c2"]),
+            {"c2": "d2"},
+        )
+        return HashJoin(left, right, ["c2"], ["d2"], join_type=join_type)
+    return build
+
+
+def _nested_loop_join(table):
+    return NestedLoopJoin(
+        Project(FullTableScan(table, Between("c2", 0, 25)), ["c1"]),
+        Project(Filter(FullTableScan(table), InList("c3", (1, 2))), ["c3"]),
+        predicate=Comparison("c3", CompareOp.GT, 1),
+    )
+
+
+def _merge_join(table):
+    lhs = Sort(Project(FullTableScan(table, Between("c2", 0, 80)), ["c2"]),
+               ["c2"])
+    rhs = Sort(
+        Rename(Project(FullTableScan(table, Between("c2", 40, 120)), ["c2"]),
+               {"c2": "d2"}),
+        ["d2"],
+    )
+    return MergeJoin(lhs, rhs, "c2", "d2")
+
+
+def _pipeline(table):
+    scanned = FullTableScan(table, Between("c2", 0, 800))
+    filtered = Filter(scanned, InList("c3", (0, 1, 2, 3, 4)))
+    return Sort(Project(filtered, ["c2", "c3"]), ["c2", "c3"])
+
+
+def _aggregate(table):
+    return HashAggregate(
+        FullTableScan(table, Between("c2", 0, 900)),
+        group_by=["c3"],
+        aggs=[AggSpec("count", "n", column=None),
+              AggSpec("sum", "total", column="c2"),
+              AggSpec("max", "hi", column="c2",
+                      ctype=table.schema.columns[1].ctype)],
+    )
+
+
+def _morphing_join(table):
+    outer = Rename(Project(FullTableScan(table, Between("c1", 0, 300)),
+                           ["c1"]), {"c1": "o_key"})
+    return MorphingIndexJoin(outer, table, "c2", "o_key")
+
+
+#: Grid point name -> (plan builder, drains in one cold run, charges
+#: tied).  "Tied" points charged identically on the row and batch paths
+#: and the capture asserted it; a Limit stops its child at a chunk
+#: boundary rather than a row, so there only the rows were tied and the
+#: golden charges are the batch path's.
+GRID: dict = {}
+for _ordered in (False, True):
+    for _trigger in TRIGGERS:
+        for _policy in POLICIES:
+            GRID[f"smooth/{_policy}/{_trigger}/"
+                 f"{'ord' if _ordered else 'unord'}"] = (
+                _smooth_point(_policy, _trigger, _ordered), 1, True)
+GRID.update({
+    "smooth/stats/optimizer15/ord": (
+        lambda t: SmoothScan(t, "c2", KeyRange(0, 700), ordered=True,
+                             trigger=OptimizerDrivenTrigger(15)), 1, True),
+    "smooth/spill/ord": (
+        lambda t: SmoothScan(t, "c2", KeyRange(0, 1000), ordered=True,
+                             result_cache_memory_limit=2_000), 1, True),
+    "scan/full": (lambda t: FullTableScan(t, Between("c2", 0, 650)), 1,
+                  True),
+    "scan/index": (lambda t: IndexScan(t, "c2", KeyRange(0, 650)), 1,
+                   True),
+    "scan/sort": (lambda t: SortScan(t, "c2", KeyRange(0, 650),
+                                     residual=InList("c3", (1, 2, 3))), 1, True),
+    "scan/switch": (lambda t: SwitchScan(t, "c2", KeyRange(0, 650),
+                                         threshold=40), 1, True),
+    "pipeline": (_pipeline, 1, True),
+    "join/nested_loop": (_nested_loop_join, 1, True),
+    "join/merge": (_merge_join, 1, True),
+    "aggregate": (_aggregate, 1, True),
+    "materialize/replay": (
+        lambda t: Materialize(FullTableScan(t, Between("c2", 0, 300))), 3, True),
+    "join/morphing": (_morphing_join, 1, True),
+})
+for _n in (0, 1, 37, 10_000):
+    GRID[f"limit/{_n}"] = (lambda t, n=_n: Limit(FullTableScan(t), n), 1,
+                         False)
+for _join_type in ("inner", "left", "semi", "anti"):
+    GRID[f"join/hash/{_join_type}"] = (_hash_join(_join_type), 1, True)
+
+
+def _smooth_stats(plan) -> dict | None:
+    stats = getattr(plan, "last_stats", None)
+    if not isinstance(plan, SmoothScan) or stats is None:
+        return None
+    rc = stats.result_cache
+    return {
+        "probes": stats.probes,
+        "produced": stats.produced,
+        "mode0_tuples": stats.mode0_tuples,
+        "mode0_page_fetches": stats.mode0_page_fetches,
+        "morphed_at": stats.morphed_at,
+        "pages_fetched": stats.pages_fetched,
+        "pages_with_results": stats.pages_with_results,
+        "max_region_used": stats.max_region_used,
+        "region_trace": [list(p) for p in stats.region_trace],
+        "result_cache": None if rc is None else {
+            "inserts": rc.inserts, "probes": rc.probes, "hits": rc.hits,
+            "spills": rc.spills, "unspills": rc.unspills,
+        },
+    }
+
+
+def measure_point(db: Database, table, name: str, drain) -> dict:
+    """Run one grid point cold through ``drain(plan, ctx) -> rows``."""
+    build, drains, _tied = GRID[name]
+    plan = build(table)
     ctx = db.cold_run()
-    out = list(plan.rows(ctx))
-    return out, db.clock.total_ms
+    rows: list = []
+    for _ in range(drains):
+        rows += drain(plan, ctx)
+    disk = db.disk.stats
+    return {
+        "rows": len(rows),
+        "digest": hashlib.sha256(repr(rows).encode()).hexdigest(),
+        "io_ms": db.clock.io_ms,
+        "cpu_ms": db.clock.cpu_ms,
+        "disk": {
+            "requests": disk.requests,
+            "pages_read": disk.pages_read,
+            "seq_pages": disk.seq_pages,
+            "rand_pages": disk.rand_pages,
+            "bytes_read": disk.bytes_read,
+            "pages_written": disk.pages_written,
+            "bytes_written": disk.bytes_written,
+        },
+        "buffer": {"hits": db.buffer.stats.hits,
+                   "misses": db.buffer.stats.misses},
+        "smooth": _smooth_stats(plan),
+    }
 
-def drain_batches(db, plan):
-    ctx = db.cold_run()
-    batches = list(plan.batches(ctx))
-    for batch in batches:
-        assert batch, "operators must not yield empty batches"
-    return [row for batch in batches for row in batch], db.clock.total_ms
+
+def _drain_chunks(plan, ctx) -> list:
+    """The batch protocol, checking the batch contract on the way."""
+    out: list = []
+    for batch in plan.batches(ctx):
+        assert isinstance(batch, Chunk), type(batch)
+        assert len(batch), "operators must not yield empty batches"
+        out += batch.to_rows()
+    return out
 
 
-def assert_paths_equal(db, plan_factory):
-    """Both protocols produce identical rows and simulated costs."""
-    rows, row_ms = drain_rows(db, plan_factory())
-    flat, batch_ms = drain_batches(db, plan_factory())
-    assert flat == rows
-    assert batch_ms == pytest.approx(row_ms, rel=1e-9)
-    return rows
+def assert_matches_golden(got: dict, want: dict, name: str) -> None:
+    for key in ("io_ms", "cpu_ms"):
+        assert math.isclose(got[key], want[key], rel_tol=1e-9,
+                            abs_tol=1e-12), (name, key, got[key], want[key])
+    exact = {k: v for k, v in got.items() if k not in ("io_ms", "cpu_ms")}
+    assert exact == {k: want[k] for k in exact}, name
 
 
-# -- protocol shims ------------------------------------------------------
+@pytest.fixture(scope="module")
+def grid_table():
+    return build_small_table()
 
 
-class _RowsOnly(Operator):
-    def __init__(self, data):
-        self.schema = Schema.of_ints(["a"])
-        self._data = data
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
 
-    def rows(self, ctx):
-        yield from self._data
+
+def assert_golden(grid_table, golden, name: str) -> dict:
+    """Drain grid point ``name`` as chunks; it must match the capture."""
+    db, table = grid_table
+    got = measure_point(db, table, name, _drain_chunks)
+    assert_matches_golden(got, golden[name], name)
+    return got
+
+
+def test_golden_covers_the_grid(golden):
+    assert sorted(golden) == sorted(GRID)
+
+
+# -- the operator protocol ------------------------------------------------
 
 
 class _BatchesOnly(Operator):
@@ -94,29 +309,21 @@ class _BatchesOnly(Operator):
 
     def batches(self, ctx):
         if self._data:
-            yield list(self._data)
+            yield Chunk.from_rows(self.schema, list(self._data))
 
 
-# repro: allow[RPL106] -- negative fixture: proves the runtime shim
-# raises for protocol-less operators
+# repro: allow[RPL106] -- negative fixture: proves the base class raises
+# for an operator without batches()
 class _Neither(Operator):
     schema = Schema.of_ints(["a"])
-
-
-def test_rows_only_operator_gets_batches_shim(db):
-    data = [(i,) for i in range(2_500)]
-    op = _RowsOnly(data)
-    batches = list(op.batches(db.context()))
-    assert [r for b in batches for r in b] == data
-    # The shim chunks at DEFAULT_BATCH_SIZE.
-    assert all(len(b) <= DEFAULT_BATCH_SIZE for b in batches)
-    assert len(batches) == 3
 
 
 def test_batches_only_operator_gets_rows_shim(db):
     data = [(i,) for i in range(10)]
     op = _BatchesOnly(data)
     assert list(op.rows(db.context())) == data
+    assert op.collect(db.context()) == data
+    assert list(_BatchesOnly([]).rows(db.context())) == []
 
 
 def test_operator_with_neither_protocol_raises(db):
@@ -125,6 +332,15 @@ def test_operator_with_neither_protocol_raises(db):
         next(op.rows(db.context()))
     with pytest.raises(NotImplementedError):
         next(op.batches(db.context()))
+
+
+def test_flatten_equals_chunk_drain(grid_table, golden):
+    """``Operator.rows()`` is only a flatten of ``batches()``."""
+    db, table = grid_table
+    for name in ("smooth/elastic/sla/ord", "scan/index", "join/merge"):
+        got = measure_point(db, table, name,
+                            lambda plan, ctx: list(plan.rows(ctx)))
+        assert_matches_golden(got, golden[name], name)
 
 
 # -- vectorized predicates ----------------------------------------------
@@ -198,39 +414,23 @@ def test_range_selector_and_filter_match_contains(small_table, rng):
 # -- SmoothScan: the full configuration grid -----------------------------
 
 
-@pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.name)
+@pytest.mark.parametrize("policy", list(POLICIES.values()),
+                         ids=lambda p: p().name)
 @pytest.mark.parametrize("trigger_name", list(TRIGGERS))
 @pytest.mark.parametrize("ordered", [False, True], ids=["unord", "ord"])
-def test_smooth_scan_batch_equals_rows(small_table, policy, trigger_name,
-                                       ordered):
-    db, table = small_table
-    def factory():
-        return SmoothScan(
-            table, "c2", KeyRange(0, 400),
-            residual=Between("c3", 0, 5),
-            policy=policy, trigger=TRIGGERS[trigger_name](), ordered=ordered,
-        )
-    rows = assert_paths_equal(db, factory)
-    assert rows  # the grid point actually produces data
+def test_smooth_scan_batch_equals_rows(grid_table, golden, policy,
+                                       trigger_name, ordered):
+    key = next(k for k, v in POLICIES.items() if v is policy)
+    got = assert_golden(grid_table, golden,
+                        f"smooth/{key}/{trigger_name}/"
+                        f"{'ord' if ordered else 'unord'}")
+    assert got["rows"]  # the grid point actually produces data
 
 
-def test_smooth_scan_batch_stats_match_row_stats(small_table):
-    db, table = small_table
-    row_scan = SmoothScan(table, "c2", KeyRange(0, 700), ordered=True,
-                          trigger=OptimizerDrivenTrigger(15))
-    list(row_scan.rows(db.cold_run()))
-    batch_scan = SmoothScan(table, "c2", KeyRange(0, 700), ordered=True,
-                            trigger=OptimizerDrivenTrigger(15))
-    list(batch_scan.batches(db.cold_run()))
-    s1, s2 = row_scan.last_stats, batch_scan.last_stats
-    assert s1.probes == s2.probes
-    assert s1.produced == s2.produced
-    assert s1.pages_fetched == s2.pages_fetched
-    assert s1.morphed_at == s2.morphed_at
-    assert s1.region_trace == s2.region_trace
-    assert s1.result_cache.inserts == s2.result_cache.inserts
-    assert s1.result_cache.hits == s2.result_cache.hits
-
+def test_smooth_scan_batch_stats_match_row_stats(grid_table, golden):
+    got = assert_golden(grid_table, golden, "smooth/stats/optimizer15/ord")
+    assert got["smooth"]["morphed_at"] is not None
+    assert got["smooth"]["result_cache"]["hits"] > 0
 
 @pytest.mark.parametrize("trigger_name", ["optimizer", "sla"])
 @pytest.mark.parametrize("use_batches", [False, True], ids=["rows", "batches"])
@@ -282,28 +482,17 @@ def test_smooth_scan_stats_current_when_batch_run_abandoned(small_table):
     assert scan.last_stats.produced >= 5
 
 
-def test_smooth_scan_spill_parity(small_table):
-    db, table = small_table
-    def factory():
-        return SmoothScan(table, "c2", KeyRange(0, 1000), ordered=True,
-                          result_cache_memory_limit=2_000)
-    assert_paths_equal(db, factory)
+def test_smooth_scan_spill_parity(grid_table, golden):
+    got = assert_golden(grid_table, golden, "smooth/spill/ord")
+    assert got["smooth"]["result_cache"]["spills"] > 0
 
 
 # -- the rest of the operator zoo ----------------------------------------
 
 
-def test_scans_batch_equals_rows(small_table):
-    db, table = small_table
-    pred = Between("c2", 0, 650)
-    rng = KeyRange(0, 650)
-    for factory in (
-        lambda: FullTableScan(table, pred),
-        lambda: IndexScan(table, "c2", rng),  # shim-provided batches
-        lambda: SortScan(table, "c2", rng, residual=InList("c3", (1, 2, 3))),
-        lambda: SwitchScan(table, "c2", rng, threshold=40),
-    ):
-        assert assert_paths_equal(db, factory)
+def test_scans_batch_equals_rows(grid_table, golden):
+    for name in ("scan/full", "scan/index", "scan/sort", "scan/switch"):
+        assert assert_golden(grid_table, golden, name)["rows"]
 
 
 def test_scan_fast_paths_yield_chunks(small_table):
@@ -329,86 +518,31 @@ def test_scan_fast_paths_yield_chunks(small_table):
         assert all(isinstance(b, Chunk) for b in batches), plan.name()
 
 
-def test_pipeline_batch_equals_rows(small_table):
-    db, table = small_table
-    def factory():
-        scanned = FullTableScan(table, Between("c2", 0, 800))
-        filtered = Filter(scanned, InList("c3", (0, 1, 2, 3, 4)))
-        projected = Project(filtered, ["c2", "c3"])
-        return Sort(projected, ["c2", "c3"])
-    assert assert_paths_equal(db, factory)
+def test_pipeline_batch_equals_rows(grid_table, golden):
+    assert assert_golden(grid_table, golden, "pipeline")["rows"]
 
 
-def test_limit_batch_equals_rows(small_table):
-    db, table = small_table
+def test_limit_batch_equals_rows(grid_table, golden):
     for n in (0, 1, 37, 10_000):
-        def factory(n=n):
-            return Limit(FullTableScan(table), n)
-        rows, _ = drain_rows(db, factory())
-        flat, _ = drain_batches(db, factory())
-        assert flat == rows
-        assert len(rows) == min(n, table.row_count)
+        got = assert_golden(grid_table, golden, f"limit/{n}")
+        assert got["rows"] == min(n, 5_000)
 
 
-def test_joins_batch_equals_rows(small_table):
-    from repro.exec.misc import Rename
-    db, table = small_table
-    def left():
-        return Project(FullTableScan(table, Between("c2", 0, 90)),
-                       ["c1", "c2"])
-
+def test_joins_batch_equals_rows(grid_table, golden):
     for join_type in ("inner", "left", "semi", "anti"):
-        def factory(join_type=join_type):
-            rn = Rename(
-                Project(FullTableScan(table, Between("c2", 0, 60)), ["c2"]),
-                {"c2": "d2"},
-            )
-            return HashJoin(left(), rn, ["c2"], ["d2"], join_type=join_type)
-        assert_paths_equal(db, factory)
-
-    def nlj_factory():
-        return NestedLoopJoin(
-            Project(FullTableScan(table, Between("c2", 0, 25)), ["c1"]),
-            Project(Filter(FullTableScan(table), InList("c3", (1, 2))),
-                    ["c3"]),
-            predicate=Comparison("c3", CompareOp.GT, 1),
-        )
-    assert_paths_equal(db, nlj_factory)
-
-    def merge_factory():  # MergeJoin uses the shim both ways
-        lhs = Sort(Project(FullTableScan(table, Between("c2", 0, 80)),
-                           ["c2"]), ["c2"])
-        rhs = Sort(
-            Rename(Project(FullTableScan(table, Between("c2", 40, 120)),
-                           ["c2"]), {"c2": "d2"}),
-            ["d2"],
-        )
-        return MergeJoin(lhs, rhs, "c2", "d2")
-    assert_paths_equal(db, merge_factory)
+        assert_golden(grid_table, golden, f"join/hash/{join_type}")
+    assert_golden(grid_table, golden, "join/nested_loop")
+    assert_golden(grid_table, golden, "join/merge")
 
 
-def test_aggregate_batch_equals_rows(small_table):
-    db, table = small_table
-    def factory():
-        return HashAggregate(
-            FullTableScan(table, Between("c2", 0, 900)),
-            group_by=["c3"],
-            aggs=[AggSpec("count", "n", column=None),
-                  AggSpec("sum", "total", column="c2"),
-                  AggSpec("max", "hi", column="c2",
-                          ctype=table.schema.columns[1].ctype)],
-        )
-    assert assert_paths_equal(db, factory)
+def test_aggregate_batch_equals_rows(grid_table, golden):
+    assert assert_golden(grid_table, golden, "aggregate")["rows"]
 
 
-def test_materialize_batch_replay(small_table):
-    db, table = small_table
-    op = Materialize(FullTableScan(table, Between("c2", 0, 300)))
-    ctx = db.cold_run()
-    first = [r for b in op.batches(ctx) for r in b]
-    replay = [r for b in op.batches(ctx) for r in b]
-    assert replay == first
-    assert list(op.rows(ctx)) == first
+def test_materialize_batch_replay(grid_table, golden):
+    """Three drains in one cold run: the first pays the scan, the
+    replays charge emission only — all pinned by the capture."""
+    assert assert_golden(grid_table, golden, "materialize/replay")["rows"]
 
 
 def test_materialize_caches_fully_under_partial_batch_drain(small_table):
@@ -453,15 +587,35 @@ def test_buffer_get_run_keeps_strict_lru_capacity(db):
     assert len(pool) <= 4
 
 
-def test_morphing_join_batch_equals_rows(small_table):
-    db, table = small_table
-    def factory():
-        outer = Project(FullTableScan(table, Between("c1", 0, 300)), ["c1"])
-        return MorphingIndexJoin(Rename_outer(outer), table, "c2", "o_key")
-    def Rename_outer(op):
-        from repro.exec.misc import Rename
-        return Rename(op, {"c1": "o_key"})
-    rows, row_ms = drain_rows(db, factory())
-    flat, batch_ms = drain_batches(db, factory())
-    assert flat == rows
-    assert batch_ms == pytest.approx(row_ms, rel=1e-9)
+def test_morphing_join_batch_equals_rows(grid_table, golden):
+    assert assert_golden(grid_table, golden, "join/morphing")["rows"]
+
+
+# -- capture ----------------------------------------------------------------
+
+
+def capture() -> dict:
+    """Measure every grid point on both protocols; they must agree."""
+    db, table = build_small_table()
+    out = {}
+    for name in sorted(GRID):
+        rows_rec = measure_point(db, table, name,
+                                 lambda plan, ctx: list(plan.rows(ctx)))
+        batch_rec = measure_point(
+            db, table, name,
+            lambda plan, ctx: [r for b in plan.batches(ctx) for r in b])
+        if GRID[name][2]:
+            assert_matches_golden(batch_rec, rows_rec, name)
+            out[name] = rows_rec
+        else:
+            assert batch_rec["digest"] == rows_rec["digest"], name
+            out[name] = batch_rec
+    return out
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--capture"]:
+        sys.exit("usage: test_batch_exec.py --capture")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(capture(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(GRID)} grid points to {GOLDEN}")

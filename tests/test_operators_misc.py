@@ -82,13 +82,14 @@ def test_materialize_replays_without_io(base):
     db, scan = base
     mat = Materialize(scan)
     ctx = db.cold_run()
-    first = list(mat.rows(ctx))
+    first = mat.collect(ctx)
+    assert first == [(i, (7 * i) % 10) for i in range(100)]
     io_after_first = db.clock.io_ms
-    second = list(mat.rows(ctx))
+    second = mat.collect(ctx)
     assert first == second
     assert db.clock.io_ms == io_after_first  # replay is I/O-free
     mat.invalidate()
-    third = list(mat.rows(ctx))
+    third = mat.collect(ctx)
     assert third == first
 
 

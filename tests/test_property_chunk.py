@@ -85,11 +85,18 @@ def test_from_rows_to_rows_round_trips(batch):
     _assert_plain_python(rebuilt.to_rows())
 
 
+def _either_layout(names, rows, data):
+    """A row-built (lazily transposed) chunk, or a column-built one."""
+    if data.draw(st.booleans(), label="row-built"):
+        return Chunk.from_rows(names, rows)
+    return Chunk.from_columns(names, Chunk.from_rows(names, rows).columns)
+
+
 @SETTINGS
 @given(batch=row_batches(), data=st.data())
 def test_take_and_slice_match_row_indexing(batch, data):
     names, rows = batch
-    chunk = Chunk.from_columns(names, Chunk.from_rows(names, rows).columns)
+    chunk = _either_layout(names, rows, data)
 
     indices = data.draw(st.lists(
         st.integers(0, max(0, len(rows) - 1)),
@@ -115,7 +122,7 @@ def test_take_and_slice_match_row_indexing(batch, data):
 @given(batch=row_batches(), data=st.data())
 def test_filter_and_concat_match_python(batch, data):
     names, rows = batch
-    chunk = Chunk.from_columns(names, Chunk.from_rows(names, rows).columns)
+    chunk = _either_layout(names, rows, data)
 
     bools = [data.draw(st.booleans()) for _ in rows]
     kept = chunk.filter(mask_from_bools(iter(bools), len(rows)))
@@ -127,6 +134,29 @@ def test_filter_and_concat_match_python(batch, data):
         left = Chunk.from_rows(names, rows[:cut])
         right = Chunk.from_rows(names, rows[cut:])
         assert Chunk.concat([left, right]).to_rows() == rows
+
+
+@SETTINGS
+@given(batch=row_batches(), data=st.data())
+def test_row_built_chunk_transposes_only_what_is_read(batch, data):
+    """``from_rows`` keeps the rows: rowifying, slicing and taking never
+    build columns, and a column read builds exactly that column's
+    values (the same payload a full transpose would)."""
+    names, rows = batch
+    chunk = Chunk.from_rows(names, rows)
+    assert chunk.to_rows() is rows or chunk.to_rows() == rows
+    lo = data.draw(st.integers(0, len(rows)))
+    assert chunk[lo:].to_rows() == rows[lo:]
+    assert chunk.take(list(range(lo, len(rows)))).to_rows() == rows[lo:]
+    assert chunk._columns is None  # nothing was transposed
+    i = data.draw(st.integers(0, len(names) - 1))
+    assert chunk.column_values(i) == [row[i] for row in rows]
+    projected = chunk.project([i], (names[i],))
+    assert projected.to_rows() == [(row[i],) for row in rows]
+    eager = Chunk.from_columns(names, Chunk.from_rows(names, rows).columns)
+    assert chunk.columns[i] is chunk.data_column(i)
+    assert [chunk.column_values(j) for j in range(len(names))] == \
+        [eager.column_values(j) for j in range(len(names))]
 
 
 # -- many tiny parts: Smooth Scan's columnar flush bookkeeping ------------
@@ -158,8 +188,6 @@ def test_low_selectivity_many_tiny_parts_flush_linearly(lo, width):
     db, table, rows = _sparse_table()
     hi = lo + width
     expected = sorted(r for r in rows if lo <= r[1] < hi)
-    row_path = list(SmoothScan(table, "c2", KeyRange(lo, hi)).rows(
-        db.cold_run()))
 
     calls = 0
     chunk_len = Chunk.__len__
@@ -173,8 +201,15 @@ def test_low_selectivity_many_tiny_parts_flush_linearly(lo, width):
         batches = list(SmoothScan(table, "c2", KeyRange(lo, hi)).batches(
             db.cold_run()))
     flat = [row for batch in batches for row in batch]
-    assert flat == row_path
     assert sorted(flat) == expected
+    # Output order: whole pages, each page's tuples in slot order (c1 is
+    # the load position, so c1 // tuples_per_page is the page).
+    per_page = table.heap.tuples_per_page
+    pages = [r[0] // per_page for r in flat]
+    firsts = [p for i, p in enumerate(pages) if not i or p != pages[i - 1]]
+    assert len(firsts) == len(set(firsts))
+    assert all(a[0] < b[0] for a, b in zip(flat, flat[1:], strict=False)
+               if a[0] // per_page == b[0] // per_page)
     # Flush points: every batch but the last is full.
     assert all(len(b) >= DEFAULT_BATCH_SIZE for b in batches[:-1])
     # Every part holds at least one row, so linear bookkeeping stays

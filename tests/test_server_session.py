@@ -156,6 +156,28 @@ def test_structured_errors_do_not_kill_the_session(db):
     assert frames[-1]["done"]
 
 
+@pytest.mark.parametrize("sql,params", [
+    ("SELECT c1 FROM micro WHERE c2 < 'x'", None),
+    ("SELECT c1 FROM micro WHERE c2 BETWEEN 'x' AND 20", None),
+    ("SELECT c1 FROM micro WHERE c2 < ?", ["x"]),
+])
+def test_mistyped_values_are_error_frames_and_hold_no_slot(db, sql, params):
+    from repro.server.inprocess import InProcessChannel
+    front = make_front(db)
+    channel = InProcessChannel(front)
+    frame = {"op": "query", "id": 1, "sql": sql}
+    if params is not None:
+        frame["params"] = params
+    error = one(channel.request(frame))
+    assert (error["op"], error["code"]) == ("error", "sql_error")
+    assert "cannot be compared" in error["message"] \
+        or "must be numeric" in error["message"]
+    assert channel.poll() == []
+    stats = one(channel.request({"op": "stats", "id": 2}))
+    assert stats["engine"]["inflight"] == 0
+    assert front.inflight == 0
+
+
 def test_rejection_carries_the_priced_decision(db):
     front = make_front(db)
     session = front.session()

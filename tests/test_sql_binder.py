@@ -172,7 +172,7 @@ def test_qualified_shared_names_refused_everywhere(db):
 
 
 def test_min_max_output_schema_keeps_source_type(shop):
-    result = shop.sql(
+    result = shop.connect().run(
         "SELECT min(c_name) AS lo, max(c_id) AS hi FROM cust"
     )
     lo, hi = result.plan.root.schema.columns
@@ -219,7 +219,7 @@ def test_hint_inside_exists_subquery_rejected(shop):
 def test_like_percent_matches_everything(shop):
     spec = spec_of(shop, "SELECT * FROM cust WHERE c_name LIKE '%'")
     assert isinstance(spec.predicate, TruePredicate)
-    n = shop.sql("SELECT count(*) AS n FROM cust WHERE c_name LIKE '%'")
+    n = shop.connect().run("SELECT count(*) AS n FROM cust WHERE c_name LIKE '%'")
     assert n.rows == [(200,)]
 
 
@@ -230,7 +230,7 @@ def test_sum_over_char_column_rejected_at_bind_time(shop):
         spec_of(shop, "SELECT avg(CASE WHEN c_id = 1 THEN c_name "
                       "ELSE c_name END) AS s FROM cust")
     # min/max over strings is fine.
-    result = shop.sql("SELECT min(c_name) AS lo FROM cust")
+    result = shop.connect().run("SELECT min(c_name) AS lo FROM cust")
     assert result.rows == [("name000",)]
 
 
@@ -282,7 +282,7 @@ def test_not_exists_becomes_anti_join(shop):
 
 
 def test_semi_join_sql_results_match_fluent(shop):
-    sql = shop.sql("""
+    sql = shop.connect().run("""
         SELECT * FROM cust
         WHERE EXISTS (SELECT * FROM ord WHERE o_cust = c_id
                       AND o_total > 50)
@@ -346,7 +346,7 @@ def test_composite_select_item_becomes_map(shop):
 
 
 def test_scalar_aggregate_without_group(shop):
-    result = shop.sql("SELECT count(*) AS n, max(o_total) AS m FROM ord")
+    result = shop.connect().run("SELECT count(*) AS n, max(o_total) AS m FROM ord")
     assert result.rows == [(400, 89)]
 
 
@@ -420,7 +420,7 @@ def test_hints_layer_over_base_options(shop):
 
 
 def test_sql_results_match_fluent_on_join_aggregate(shop):
-    sql = shop.sql("""
+    sql = shop.connect().run("""
         SELECT c_nation, count(*) AS n, sum(o_total) AS revenue
         FROM cust JOIN ord ON c_id = o_cust
         WHERE o_total >= 10

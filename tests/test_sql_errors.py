@@ -183,3 +183,70 @@ def test_database_table_error_when_empty():
     with pytest.raises(StorageError) as excinfo:
         Database().table("anything")
     assert "known tables: (no tables loaded)" in str(excinfo.value)
+
+
+# -- typed literals and parameters -------------------------------------------
+
+@pytest.fixture(scope="module")
+def indexed():
+    """A micro table whose c2 index the planner uses for range probes."""
+    from repro.workloads.micro import build_micro_table
+    database = Database()
+    build_micro_table(database, num_tuples=6_000, seed=3)
+    database.analyze()
+    return database
+
+
+MISTYPED = [
+    ("SELECT c1 FROM micro WHERE c2 < 'x'", None),
+    ("SELECT c1 FROM micro WHERE c2 BETWEEN 'x' AND 20", None),
+    ("SELECT c1 FROM micro WHERE c2 < ?", ("x",)),
+]
+
+
+def test_mistyped_literal_golden(indexed):
+    message = message_of(compile_statement, indexed,
+                         "SELECT c1 FROM micro WHERE c2 < 'x'")
+    assert message == (
+        "int column 'c2' cannot be compared with 'x'; the value must be "
+        "numeric at line 1, column 33\n"
+        "  SELECT c1 FROM micro WHERE c2 < 'x'\n"
+        "                                  ^"
+    )
+
+
+def test_mistyped_between_bound_points_at_the_bound(indexed):
+    message = message_of(compile_statement, indexed,
+                         "SELECT c1 FROM micro WHERE c2 BETWEEN 'x' AND 20")
+    assert "int column 'c2' cannot be compared with 'x'" in message
+    assert "column 39" in message
+
+
+def test_char_column_rejects_a_number(db):
+    message = message_of(compile_statement, db,
+                         "SELECT c1 FROM micro WHERE 5 <= tag")
+    assert "char column 'tag' cannot be compared with 5" in message
+    assert "must be a string" in message
+
+
+@pytest.mark.parametrize("sql,params", MISTYPED)
+def test_mistyped_values_raise_sql_error_from_the_cursor(indexed, sql,
+                                                          params):
+    cursor = indexed.connect().cursor()
+    with pytest.raises(SqlError):
+        cursor.execute(sql, params)
+        cursor.fetchall()
+
+
+def test_mistyped_parameter_names_the_parameter(indexed):
+    conn = indexed.connect()
+    positional = conn.prepare("SELECT c1 FROM micro WHERE c2 >= ? AND c2 < ?")
+    message = message_of(positional.run, (0, "x"))
+    assert message == ("parameter 2 is compared with int column 'c2' and "
+                       "must be numeric, got 'x'")
+    named = conn.prepare("SELECT c1 FROM micro WHERE c2 BETWEEN :lo AND 9")
+    message = message_of(named.run, {"lo": None})
+    assert message == (":lo is compared with int column 'c2' and must be "
+                       "numeric, got None")
+    # Well-typed values still run through the same prepared statement.
+    assert positional.run((0, 50)).row_count >= 0

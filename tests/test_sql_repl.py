@@ -118,14 +118,33 @@ def test_multiline_error_positions_use_user_line_numbers(db):
     assert "at line 2" in output  # where the user actually typed it
 
 
-def test_runtime_type_errors_do_not_kill_the_shell(db):
+def test_runtime_type_errors_do_not_kill_the_shell(db, monkeypatch):
+    # A mistyped literal is a typed SqlError at bind time ...
     output = run_session(
         db,
         "SELECT count(*) AS n FROM nums WHERE a < 'zz';\n"
         "SELECT count(*) AS n FROM nums;\n",
     )
-    assert "error: TypeError" in output
+    assert "error: int column 'a' cannot be compared with 'zz'" in output
     assert "3000" in output  # the next statement still ran
+    # ... and a raw exception from execution still leaves the shell up.
+    from repro.api.session import Connection
+
+    real_run = Connection.run
+
+    def run(self, sql, *args, **kwargs):
+        if "WHERE" in sql:
+            raise TypeError("'<' not supported")
+        return real_run(self, sql, *args, **kwargs)
+
+    monkeypatch.setattr(Connection, "run", run)
+    output = run_session(
+        db,
+        "SELECT count(*) AS n FROM nums WHERE a < 5;\n"
+        "SELECT count(*) AS n FROM nums;\n",
+    )
+    assert "error: TypeError" in output
+    assert "3000" in output
 
 
 def test_main_entry_point_with_piped_stdin(monkeypatch, capsys):

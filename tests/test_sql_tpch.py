@@ -32,6 +32,14 @@ def run_fluent(setup, name, mode):
     )
 
 
+def run_text(setup, text):
+    """Execute SQL text against the stale catalog, hints honoured."""
+    bound = compile_statement(setup.db, text)
+    return setup.db.execute(bound.spec, keep_rows=False,
+                            options=bound.planner_options(),
+                            catalog=setup.catalog)
+
+
 def run_sql(setup, name, mode):
     bound = compile_statement(setup.db, SQL_QUERIES[name])
     return setup.db.execute(
@@ -62,9 +70,11 @@ def test_sql_queries_cover_the_fluent_set():
 
 def test_explain_renders_estimated_and_actual(setup):
     db = setup.db
-    text = db.sql("EXPLAIN " + SQL_QUERIES["Q6"],
-                  options=mode_options("tuned"), catalog=setup.catalog)
-    assert isinstance(text, str)
+    bound = compile_statement(db, "EXPLAIN " + SQL_QUERIES["Q6"])
+    assert bound.explain
+    text = db.plan(bound.spec,
+                   options=bound.planner_options(mode_options("tuned")),
+                   catalog=setup.catalog).render()
     assert "rows est=" in text and "act=?" in text
     # After execution the same plan object reports actuals; via the
     # one-shot facade we at least verify the executed result's tree.
@@ -74,7 +84,7 @@ def test_explain_renders_estimated_and_actual(setup):
 
 
 def test_database_explain_accepts_plain_select(setup):
-    text = setup.db.explain(SQL_QUERIES["Q1"], catalog=setup.catalog)
+    text = setup.db.connect().prepare(SQL_QUERIES["Q1"]).explain()
     assert "HashAggregate" in text and "lineitem" in text
 
 
@@ -83,8 +93,8 @@ def test_hint_changes_chosen_access_path(setup):
     base = "SELECT count(*) AS n FROM lineitem WHERE l_quantity < 24"
     hinted = ("SELECT /*+ force_path(smooth) */ count(*) AS n "
               "FROM lineitem WHERE l_quantity < 24")
-    plain = db.sql(base, keep_rows=False, catalog=setup.catalog)
-    smooth = db.sql(hinted, keep_rows=False, catalog=setup.catalog)
+    plain = run_text(setup, base)
+    smooth = run_text(setup, hinted)
     assert plain.decisions[0].path != "smooth"
     assert smooth.decisions[0].path == "smooth"
     assert smooth.row_count == plain.row_count
@@ -101,8 +111,8 @@ def test_no_inlj_hint_switches_join_method(setup):
           AND l_shipdate < DATE '1995-10-01'
     """
     hinted = base.replace("SELECT", "SELECT /*+ no_inlj */", 1)
-    plain = db.sql(base, keep_rows=False, catalog=setup.catalog)
-    no_inlj = db.sql(hinted, keep_rows=False, catalog=setup.catalog)
+    plain = run_text(setup, base)
+    no_inlj = run_text(setup, hinted)
     plain_paths = [d.path for d in plain.decisions]
     hinted_paths = [d.path for d in no_inlj.decisions]
     assert "inlj" in plain_paths          # tuned Q14 probes part via INLJ
